@@ -234,7 +234,8 @@ std::string render_table(const std::vector<Site>& sites,
 
 std::string sites_json(const std::vector<Site>& sites,
                        const cm::CostStats& total,
-                       const PoolUtilization& pool) {
+                       const PoolUtilization& pool,
+                       const EngineCounters& engine) {
   std::string out = "{\n";
   out += format("  \"total_cycles\": %llu,\n",
                 static_cast<unsigned long long>(total.cycles));
@@ -306,6 +307,14 @@ std::string sites_json(const std::vector<Site>& sites,
     }
     out += "]";
   }
+  out += format(
+      ",\n  \"engine\": {\"bytecode_stmts\": %llu, "
+      "\"walk_fallback_stmts\": %llu, \"commits_proven\": %llu, "
+      "\"commits_checked\": %llu}",
+      static_cast<unsigned long long>(engine.bytecode_stmts),
+      static_cast<unsigned long long>(engine.walk_fallback_stmts),
+      static_cast<unsigned long long>(engine.commits_proven),
+      static_cast<unsigned long long>(engine.commits_checked));
   out += "\n}\n";
   return out;
 }

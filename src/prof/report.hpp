@@ -22,6 +22,16 @@ struct PoolUtilization {
   std::vector<cm::ShardStats> shards;
 };
 
+// Run-wide VM engine counters (docs/VM.md "Commit"), mirrored from
+// vm::RunResult: statements run compiled vs on the walk fallback, and
+// commits applied under the lane-injectivity proof vs conflict-checked.
+struct EngineCounters {
+  std::uint64_t bytecode_stmts = 0;
+  std::uint64_t walk_fallback_stmts = 0;
+  std::uint64_t commits_proven = 0;
+  std::uint64_t commits_checked = 0;
+};
+
 struct TableOptions {
   std::size_t max_rows = 0;   // 0 = all sites with nonzero self cost
   bool show_static = true;    // static-vs-dynamic join column
@@ -35,10 +45,12 @@ std::string render_table(const std::vector<Site>& sites,
                          const PoolUtilization& pool,
                          const TableOptions& opts = {});
 
-// Machine-readable profile: {"total_cycles":..., "sites":[...], "pool":...}.
+// Machine-readable profile: {"total_cycles":..., "sites":[...], "pool":...,
+// "engine":...}.
 std::string sites_json(const std::vector<Site>& sites,
                        const cm::CostStats& total,
-                       const PoolUtilization& pool);
+                       const PoolUtilization& pool,
+                       const EngineCounters& engine = {});
 
 // Chrome trace-event JSON (an array of complete "X" events, loadable by
 // chrome://tracing and Perfetto).  Wall-clock timestamps in microseconds;

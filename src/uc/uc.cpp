@@ -154,7 +154,11 @@ std::string ProfileResult::table(const prof::TableOptions& opts) const {
 }
 
 std::string ProfileResult::json() const {
-  return prof::sites_json(sites, stats, pool);
+  return prof::sites_json(
+      sites, stats, pool,
+      prof::EngineCounters{run.bytecode_statements(),
+                           run.walk_fallback_statements(),
+                           run.commits_proven(), run.commits_checked()});
 }
 
 std::string ProfileResult::trace() const {

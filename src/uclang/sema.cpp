@@ -305,6 +305,7 @@ void Sema::analyze_index_set_decl(IndexSetDeclStmt& decl) {
                      "'" + def.alias + "' does not name an index set");
       } else {
         info->values = alias->index_set->values;
+        info->distinct = alias->index_set->distinct;
       }
     } else if (def.range_lo) {
       analyze_expr(*def.range_lo);
@@ -323,15 +324,26 @@ void Sema::analyze_index_set_decl(IndexSetDeclStmt& decl) {
         for (std::int64_t v = *lo; v <= *hi; ++v) info->values.push_back(v);
       }
     } else {
+      std::unordered_set<std::int64_t> seen;
       for (auto& e : def.listed) {
         analyze_expr(*e);
         auto v = const_eval_int(*e);
         if (!v) {
           diags_.error(e->range,
                        "index set members must be constant expressions");
-        } else {
-          info->values.push_back(*v);
+          continue;
         }
+        if (!seen.insert(*v).second) {
+          // An index set is a set (paper §3.1); a repeated member would
+          // expand into a second lane binding the same element value.
+          info->distinct = false;
+          diags_.warning(e->range,
+                         "index set '" + def.set_name + "' lists member " +
+                             std::to_string(*v) +
+                             " more than once; each repeat adds a lane "
+                             "with the same element value");
+        }
+        info->values.push_back(*v);
       }
     }
 

@@ -29,6 +29,10 @@ const char* symbol_kind_name(SymbolKind k);
 struct IndexSetInfo {
   std::vector<std::int64_t> values;  // in declaration order
   Symbol* elem = nullptr;            // the element symbol
+  // No value is listed twice, so lanes that expand this set bind pairwise
+  // different element values (the VM's commit proof relies on it; sema
+  // warns about a listed set that repeats a member).
+  bool distinct = true;
 };
 
 struct Symbol {

@@ -34,6 +34,11 @@ class ArrayObj {
                              std::vector<std::int64_t> dims);
 
   bool is_slice() const { return parent_ != nullptr; }
+  // The array that owns the storage this view aliases (itself unless a
+  // slice).
+  const ArrayObj* storage_root() const {
+    return parent_ ? parent_.get() : this;
+  }
 
   const std::string& name() const { return name_; }
   lang::ScalarKind scalar() const { return scalar_; }

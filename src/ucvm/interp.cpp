@@ -411,7 +411,11 @@ RunResult Impl::run() {
       result.native_dispatches_ = nb->dispatches();
     }
     result.native_fallbacks_ = kernel_engine_->native_fallbacks();
+    result.bytecode_statements_ = kernel_engine_->compiled_statements();
+    result.walk_fallback_statements_ = kernel_engine_->fallback_statements();
   }
+  result.commits_proven_ = commits_proven;
+  result.commits_checked_ = commits_checked;
   for (const Symbol* g : unit.sema.globals) {
     const auto& slot = globals[static_cast<std::size_t>(g->slot)];
     if (slot.kind == FrameSlot::Kind::kScalar) {

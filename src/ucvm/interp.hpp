@@ -172,6 +172,18 @@ class RunResult {
   std::uint64_t native_dispatches() const { return native_dispatches_; }
   std::uint64_t native_fallbacks() const { return native_fallbacks_; }
 
+  // Engine introspection (docs/VM.md "Commit"): synchronous statement
+  // executions that ran compiled (bytecode or native) vs fell back to the
+  // tree walk from a bytecode/native engine, and commits of at least one
+  // buffered write that skipped the conflict table under the lane-
+  // injectivity proof vs went through it (every walk commit is checked).
+  std::uint64_t bytecode_statements() const { return bytecode_statements_; }
+  std::uint64_t walk_fallback_statements() const {
+    return walk_fallback_statements_;
+  }
+  std::uint64_t commits_proven() const { return commits_proven_; }
+  std::uint64_t commits_checked() const { return commits_checked_; }
+
  private:
   friend class Interp;
   friend struct detail::Impl;
@@ -183,6 +195,10 @@ class RunResult {
   std::uint64_t native_cache_hits_ = 0;
   std::uint64_t native_dispatches_ = 0;
   std::uint64_t native_fallbacks_ = 0;
+  std::uint64_t bytecode_statements_ = 0;
+  std::uint64_t walk_fallback_statements_ = 0;
+  std::uint64_t commits_proven_ = 0;
+  std::uint64_t commits_checked_ = 0;
 };
 
 class Interp {

@@ -413,6 +413,7 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
 }
 
 void Impl::commit_begin(std::size_t expected_writes) {
+  ++commits_checked;
   commit_seen_.begin(expected_writes);
 }
 
@@ -440,6 +441,7 @@ void Impl::commit_check(const Write& w) {
 void Impl::commit_writes(std::vector<std::vector<Write>>& per_lane) {
   std::size_t total = 0;
   for (const auto& lane_writes : per_lane) total += lane_writes.size();
+  if (total == 0) return;
   commit_begin(total);
   for (auto& lane_writes : per_lane) {
     for (auto& w : lane_writes) commit_check(w);
@@ -747,6 +749,7 @@ void Impl::exec_seq(const UcConstructStmt& stmt, LaneSpace& parent,
       LaneSpace bind;
       bind.parent = &parent;
       bind.frontend = parent.frontend;
+      bind.seq_binding = true;
       bind.dims = parent.dims;
       bind.geom_size = parent.geom_size;
       for (const Symbol* s : stmt.index_set_syms) {

@@ -43,6 +43,9 @@ using lang::Symbol;
 struct LaneSpace {
   LaneSpace* parent = nullptr;
   bool frontend = false;  // the root space (one lane on the front end)
+  // A seq binding space: the parent's lanes with one element tuple shared
+  // by every lane (paper §3.5), so its elements never tell lanes apart.
+  bool seq_binding = false;
 
   std::vector<const Symbol*> elems;       // elements bound by THIS space
   std::vector<std::int64_t> elem_vals;    // lane-major [lane*elems.size()+k]
@@ -343,6 +346,11 @@ struct Impl {
   std::uint64_t plan_epoch_ = 0;
   std::unordered_map<const Stmt*, std::vector<FusionSeg>> fusion_segments_;
   CommitSeen commit_seen_;
+  // Commits of at least one buffered write, by path: applied without the
+  // conflict table under the kernel engine's proof, or conflict-checked
+  // (every walk commit, every unproven kernel commit).
+  std::uint64_t commits_proven = 0;
+  std::uint64_t commits_checked = 0;
 
   // --- expression evaluation (per lane) ---
   Value eval(const Expr& e, EvalCtx& ctx);

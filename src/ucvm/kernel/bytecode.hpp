@@ -114,6 +114,14 @@ struct Kernel {
   // starts at code[0]).  Plain statement kernels have num_members == 1.
   std::uint32_t num_members = 1;
   bool uses_rand = false;  // seed the per-lane RNG only when needed
+  // Compile-time half of the commit proof (docs/VM.md "Commit"): every
+  // store is an array store outside any reduction, no array is stored
+  // twice (across all fused members), and each store subscript is
+  // a*e + c (a != 0) over pairwise-distinct index elements.
+  // Engine::link discharges the rest against the lane-space chain.
+  bool stores_affine = false;
+  // Index elements that appear in the subscripts of every store.
+  std::vector<const lang::Symbol*> store_elems;
 };
 
 // True when the lowering covers this expression tree; false means the

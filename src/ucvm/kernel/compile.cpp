@@ -5,11 +5,14 @@
 // the same coercions and the same error sites, so a compiled statement is
 // observationally identical to the tree walk.  Anything the lowering does
 // not cover is rejected by can_compile_expr and runs on the walk engine.
+#include <algorithm>
 #include <bit>
 
 #include "ucvm/kernel/bytecode.hpp"
 
+#include "uclang/access.hpp"
 #include "uclang/symbols.hpp"
+#include "xform/affine.hpp"
 
 namespace uc::vm::detail::kernel {
 
@@ -604,6 +607,45 @@ class Lowerer {
   }
 };
 
+// Compile-time half of the commit proof (docs/VM.md "Commit"); leaves
+// k.stores_affine false unless every obligation holds.  A store site runs
+// at most once per lane (stores inside reduction arms are excluded), so
+// with the link-time half no two buffered writes can share a target.
+void prove_stores(Kernel& k, const Expr* const* stmts, std::size_t n) {
+  lang::AccessSet acc;
+  for (std::size_t m = 0; m < n; ++m) lang::collect_accesses(*stmts[m], acc);
+  std::vector<const Symbol*> stored;
+  std::vector<const Symbol*> elems;
+  for (const auto& a : acc.accesses) {
+    if (!a.is_write) continue;
+    if (a.subscript == nullptr || a.reduce != nullptr) return;
+    if (std::find(stored.begin(), stored.end(), a.base) != stored.end()) {
+      return;
+    }
+    elems.clear();
+    for (const auto& idx : a.subscript->indices) {
+      // Exact forms keep only nonzero coefficients.
+      const xform::LinearForm f = xform::linearize(*idx);
+      if (!f.exact || f.terms.size() != 1) return;
+      const Symbol* e = f.terms[0].sym;
+      if (e->kind != SymbolKind::kIndexElem ||
+          std::find(elems.begin(), elems.end(), e) != elems.end()) {
+        return;
+      }
+      elems.push_back(e);
+    }
+    if (stored.empty()) {
+      k.store_elems = elems;
+    } else {
+      std::erase_if(k.store_elems, [&](const Symbol* e) {
+        return std::find(elems.begin(), elems.end(), e) == elems.end();
+      });
+    }
+    stored.push_back(a.base);
+  }
+  k.stores_affine = !stored.empty();
+}
+
 }  // namespace
 
 bool can_compile_expr(const Expr& e) { return can_compile(e, false); }
@@ -612,6 +654,8 @@ std::unique_ptr<Kernel> compile_expr(const Expr& e) {
   if (!can_compile_expr(e)) return nullptr;
   auto kernel = std::make_unique<Kernel>();
   Lowerer(*kernel).lower(e);
+  const Expr* one[1] = {&e};
+  prove_stores(*kernel, one, 1);
   return kernel;
 }
 
@@ -627,6 +671,7 @@ std::unique_ptr<Kernel> compile_fused(const Expr* const* stmts,
   // the 16-bit register file; decline and let the members run unfused.
   if (kernel->num_regs > 60000) return nullptr;
   if (!optimize_kernel(*kernel)) return nullptr;
+  prove_stores(*kernel, stmts, n);
   return kernel;
 }
 

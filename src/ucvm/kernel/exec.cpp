@@ -5,8 +5,6 @@
 // the engine_parity test suite holds the two engines to byte identity.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "ucvm/kernel/kernel.hpp"
 
@@ -209,7 +207,50 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
     if (la.geom_matches) la.vp_coords = la.arr->coord_table();
   }
 
-  return max_depth_ < kMaxDepth;
+  if (max_depth_ >= kMaxDepth) return false;
+  // Array parameters or slices bound to one storage under different
+  // symbols: neither the fusion gate nor the commit proof can see that
+  // aliasing, since both reason by symbol.
+  storage_aliased_ = false;
+  for (std::size_t a = 1; a < arrays_.size() && !storage_aliased_; ++a) {
+    for (std::size_t b = 0; b < a; ++b) {
+      if (k.arrays[a].sym != k.arrays[b].sym &&
+          arrays_[a].arr->storage_root() == arrays_[b].arr->storage_root()) {
+        storage_aliased_ = true;
+        break;
+      }
+    }
+  }
+  commit_proven_ = commit_provable(k, space);
+  return true;
+}
+
+bool Engine::commit_provable(const Kernel& k, const LaneSpace& space) {
+  if (!k.stores_affine || storage_aliased_) return false;
+  // Each lane of the statement space is one tuple of the elements its
+  // expanding ancestors bind: distinct parent lanes times distinct set
+  // values.  seq bindings share one tuple across all their lanes and add
+  // nothing.  When every such element is bound once, draws from a set
+  // without repeats and appears in every store's subscripts, two lanes
+  // differ in some subscript of every store, so no two lanes write the
+  // same element.
+  chain_elems_.clear();
+  for (const LaneSpace* s = &space; s != nullptr; s = s->parent) {
+    for (const Symbol* e : s->elems) {
+      if (std::find(chain_elems_.begin(), chain_elems_.end(), e) !=
+          chain_elems_.end()) {
+        return false;  // re-bound: the inner binding hides the outer
+      }
+      chain_elems_.push_back(e);
+      if (s->seq_binding) continue;
+      if (std::find(k.store_elems.begin(), k.store_elems.end(), e) ==
+              k.store_elems.end() ||
+          !e->elem_of_set->index_set->distinct) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void Engine::classify_site(const LinkedArray& la, std::int64_t flat,
@@ -741,13 +782,24 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
 }
 
 void Engine::commit_buffered() {
+  std::size_t total_writes = 0;
+  for (const auto& a : arenas_) total_writes += a.writes.size();
+  if (total_writes == 0) return;
+  if (commit_proven_) {
+    // Proven lane-injective (docs/VM.md "Commit"): no two writes share a
+    // target, so no conflict can arise and arena order is as good as
+    // lane order.
+    ++vm_.commits_proven;
+    for (const auto& a : arenas_) {
+      for (const Write& wr : a.writes) vm_.apply_write(wr.target, wr.value);
+    }
+    return;
+  }
   // Chunks are disjoint ascending lane ranges, so sorting the spans by
   // their first active-lane position recovers the walk's lane order for
   // conflict detection (first-seen value wins the error message).
   span_order_.clear();
-  std::size_t total_writes = 0;
   for (auto& a : arenas_) {
-    total_writes += a.writes.size();
     for (const auto& s : a.spans) span_order_.emplace_back(&s, &a);
   }
   std::sort(span_order_.begin(), span_order_.end(),
@@ -805,7 +857,8 @@ bool Engine::prepare_group(const Expr* const* stmts, std::size_t n,
   }
   const Kernel* kern = it->second.get();
   if (kern == nullptr || kern->num_members != n) return false;
-  if (!link(*kern, space, frame)) return false;
+  // Aliased members would miss each other's writes: run them unfused.
+  if (!link(*kern, space, frame) || storage_aliased_) return false;
   group_kernel_ = kern;
   return true;
 }
@@ -834,17 +887,7 @@ void Engine::commit_group() { commit_buffered(); }
 
 namespace uc::vm::detail {
 
-Impl::~Impl() {
-  if (kernel_engine_ != nullptr && std::getenv("UC_KERNEL_STATS") != nullptr) {
-    std::fprintf(stderr,
-                 "kernel: %llu compiled, %llu fallback, %zu cached\n",
-                 static_cast<unsigned long long>(
-                     kernel_engine_->compiled_statements()),
-                 static_cast<unsigned long long>(
-                     kernel_engine_->fallback_statements()),
-                 kernel_engine_->cache_size());
-  }
-}
+Impl::~Impl() = default;
 
 kernel::Engine& Impl::kernel_engine() {
   if (kernel_engine_ == nullptr) {

@@ -53,7 +53,7 @@ class Engine {
                  std::vector<AccessStats>& member_stats);
   void commit_group();
 
-  // Introspection for tests and ucc bench.
+  // Introspection for RunResult, tests and ucc bench.
   std::uint64_t compiled_statements() const { return compiled_statements_; }
   std::uint64_t fallback_statements() const { return fallback_statements_; }
   std::uint64_t fused_groups() const { return fused_groups_; }
@@ -160,6 +160,9 @@ class Engine {
   const Kernel* compile_cached(const Expr& expr);
   const Kernel* compile_optimized_cached(const Expr& expr);
   bool link(const Kernel& k, LaneSpace& space, Frame* frame);
+  // Link-time half of the commit proof (docs/VM.md "Commit"), over the
+  // operand state link() just resolved.
+  bool commit_provable(const Kernel& k, const LaneSpace& space);
   void reset_arenas(const Kernel& k);
   void run_lanes_pooled(const Kernel& k, LaneSpace& space,
                         const std::vector<std::int64_t>& active, Frame* frame,
@@ -197,6 +200,11 @@ class Engine {
   std::vector<LinkedReduce> reduces_;
   std::vector<LaneSpace*> depth_spaces_;  // [0]=statement space, then parents
   std::int32_t max_depth_ = 0;
+  // The linked kernel's buffered writes provably never share a target, so
+  // commit_buffered() may apply them without the conflict table.
+  bool commit_proven_ = false;
+  bool storage_aliased_ = false;  // two array symbols share storage
+  std::vector<const Symbol*> chain_elems_;  // reused by commit_provable
   std::vector<Arena> arenas_;
   std::vector<std::pair<const ChunkSpan*, Arena*>> span_order_;
   std::uint64_t compiled_statements_ = 0;

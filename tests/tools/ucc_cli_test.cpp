@@ -47,6 +47,28 @@ TEST(UccCli, StatsFlagPrintsMachineCounters) {
   EXPECT_NE(r.output.find("cycles="), std::string::npos) << r.output;
 }
 
+// The engine line: fig8's parallel statements all run compiled and commit
+// under the lane-injectivity proof; the walk checks every commit.
+TEST(UccCli, StatsFlagPrintsEngineCounters) {
+  auto r = run_command(ucc() + " run " + program("fig8_grid_obstacle.uc") +
+                       " --stats");
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.output.find("walk_fallback_stmts=0 "), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("commits_checked=0\n"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("commits_proven=0 "), std::string::npos)
+      << r.output;
+  auto walk = run_command(ucc() + " run " +
+                          program("fig8_grid_obstacle.uc") +
+                          " --stats --engine=walk");
+  EXPECT_EQ(walk.exit_code, 0);
+  EXPECT_NE(walk.output.find("bytecode_stmts=0 walk_fallback_stmts=0 "
+                             "commits_proven=0 commits_checked="),
+            std::string::npos)
+      << walk.output;
+}
+
 TEST(UccCli, CheckReportsOk) {
   auto r = run_command(ucc() + " check " + program("shortest_path.uc"));
   EXPECT_EQ(r.exit_code, 0);
@@ -340,6 +362,9 @@ TEST(UccCli, ProfileWritesJsonAndTraceFiles) {
   json_buf << json_in.rdbuf();
   EXPECT_NE(json_buf.str().find("\"total_cycles\""), std::string::npos);
   EXPECT_NE(json_buf.str().find("\"sites\""), std::string::npos);
+  EXPECT_NE(json_buf.str().find("\"engine\": {\"bytecode_stmts\": "),
+            std::string::npos);
+  EXPECT_NE(json_buf.str().find("\"commits_proven\": "), std::string::npos);
 
   std::ifstream trace_in(trace_path);
   std::stringstream trace_buf;

@@ -125,5 +125,30 @@ TEST(Diagnostics, ConstViolationNamesVariable) {
       << out;
 }
 
+// An index set is a set (paper §3.1): a repeated listed member is a
+// located warning naming the value, not an error, and the set is marked
+// as not distinct for the VM's commit proof.  Aliases inherit the mark;
+// ranges and repeat-free lists are distinct.
+TEST(Diagnostics, RepeatedIndexSetMemberWarns) {
+  auto unit = compile("err.uc",
+                      "index_set K:k = {1, 3,\n  1, 2}, L:l = K,\n"
+                      "  I:i = {0..3}, M:m = {3, 1};\n"
+                      "void main() { }");
+  EXPECT_EQ(unit->diags.error_count(), 0u);
+  const auto out = unit->diags.render_all();
+  EXPECT_NE(out.find("err.uc:2:3: warning"), std::string::npos) << out;
+  EXPECT_NE(out.find("index set 'K' lists member 1 more than once"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("'M'"), std::string::npos) << out;
+  const auto& sets = unit->sema.index_sets;
+  ASSERT_EQ(sets.size(), 4u);
+  EXPECT_FALSE(sets[0]->distinct);  // K
+  EXPECT_FALSE(sets[1]->distinct);  // L = K
+  EXPECT_TRUE(sets[2]->distinct);   // I
+  EXPECT_TRUE(sets[3]->distinct);   // M
+  EXPECT_EQ(sets[0]->values.size(), 4u);  // the lanes are still expanded
+}
+
 }  // namespace
 }  // namespace uc::lang

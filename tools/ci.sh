@@ -76,6 +76,29 @@ run_fused_smoke() {
   rm -rf "$tmp"
 }
 
+# Commit-proof smoke (docs/VM.md "Commit"): on the paper workloads the
+# default tier must commit under the lane-injectivity proof (the --stats
+# engine line reports commits_proven>0), and the output must stay
+# byte-identical to the walk, which conflict-checks every commit.
+run_commit_proof_smoke() {
+  local dir="$1"
+  local ucc="$dir/tools/ucc"
+  local tmp; tmp="$(mktemp -d)"
+  for prog in fig6_shortest_path_on2 fig7_shortest_path_on3 \
+              fig8_grid_obstacle; do
+    local src="$root/programs/$prog.uc"
+    "$ucc" run "$src" --engine=walk >"$tmp/walk.txt"
+    "$ucc" run "$src" --stats >"$tmp/run.txt" 2>"$tmp/stats.txt"
+    cmp "$tmp/walk.txt" "$tmp/run.txt" || {
+      echo "ci.sh: proven commits changed the output of $prog" >&2; exit 1; }
+    local proven
+    proven="$(sed -n 's/.*commits_proven=\([0-9]*\).*/\1/p' "$tmp/stats.txt")"
+    [ -n "$proven" ] && [ "$proven" -gt 0 ] || {
+      echo "ci.sh: $prog committed nothing under the proof" >&2; exit 1; }
+  done
+  rm -rf "$tmp"
+}
+
 # Mapping-optimiser smoke (docs/MAPPING.md): `ucc optimize-map` on the
 # Fig 6 workload must find a validated mapping — the rewritten program's
 # replay must be bit-identical in output and strictly cheaper in modeled
@@ -144,10 +167,11 @@ run_asan() {
   # bytecode (byte-identical output and modeled cycles) vs bytecode-fused
   # (byte-identical output, cycles never above unfused).
   "$root/build-asan/tests/ucvm/test_ucvm" \
-      --gtest_filter='EngineParity*:ShardParity*'
+      --gtest_filter='EngineParity*:ShardParity*:CommitProof*'
   run_profile_smoke "$root/build-asan"
   run_fused_smoke "$root/build-asan"
   run_fault_smoke "$root/build-asan"
+  run_commit_proof_smoke "$root/build-asan"
   run_optmap_smoke "$root/build-asan"
   # Bounded under the sanitizers: one program, unsharded, one kill.
   run_soak_smoke "$root/build-asan" \
@@ -166,7 +190,7 @@ run_tsan() {
   "$root/build-tsan/tests/cm/test_cm" \
       --gtest_filter='ThreadPool*:Threads/*:PoolShards*:Shard*:ShiftExchange*:MachineShards*:Machine*:Ops*'
   "$root/build-tsan/tests/ucvm/test_ucvm" \
-      --gtest_filter='ShardParity*:EngineParity*'
+      --gtest_filter='ShardParity*:EngineParity*:CommitProof*'
 }
 
 run_bench_smoke() {
@@ -241,6 +265,7 @@ case "$mode" in
     run_profile_smoke "$root/build"
     run_fused_smoke "$root/build"
     run_fault_smoke "$root/build"
+    run_commit_proof_smoke "$root/build"
     run_optmap_smoke "$root/build"
     run_soak_smoke "$root/build"
     ;;
@@ -253,6 +278,7 @@ case "$mode" in
     run_profile_smoke "$root/build"
     run_fused_smoke "$root/build"
     run_fault_smoke "$root/build"
+    run_commit_proof_smoke "$root/build"
     run_optmap_smoke "$root/build"
     run_soak_smoke "$root/build"
     run_asan

@@ -14,7 +14,8 @@
 //   ucc emit-uc program.uc        print the canonical UC rendering
 //
 // Options:
-//   --stats                 print machine statistics after a run
+//   --stats                 print machine statistics and engine counters
+//                           after a run
 //   --trace                 print the Paris-style instruction trace
 //   --engine=<walk|bytecode>  VM execution engine (default bytecode)
 //   --fuse=<on|off>         statement fusion + communication-plan cache
@@ -104,7 +105,8 @@ int usage() {
       "  emit-uc     print the canonical UC rendering\n"
       "\n"
       "options:\n"
-      "  --stats               print machine statistics after a run\n"
+      "  --stats               print machine statistics and engine\n"
+      "                        counters after a run\n"
       "  --trace               print the Paris-style instruction trace\n"
       "  --engine=<walk|bytecode|native>  VM execution engine (default\n"
       "                        bytecode; native compiles lane kernels to a\n"
@@ -159,6 +161,18 @@ bool write_file(const std::string& path, const std::string& content) {
   if (!out) return false;
   out << content;
   return static_cast<bool>(out);
+}
+
+// Second --stats line: which tier ran the statements and how their
+// writes were committed (docs/VM.md "Commit").
+void print_engine_stats(const uc::vm::RunResult& r) {
+  std::fprintf(stderr,
+               "bytecode_stmts=%llu walk_fallback_stmts=%llu "
+               "commits_proven=%llu commits_checked=%llu\n",
+               static_cast<unsigned long long>(r.bytecode_statements()),
+               static_cast<unsigned long long>(r.walk_fallback_statements()),
+               static_cast<unsigned long long>(r.commits_proven()),
+               static_cast<unsigned long long>(r.commits_checked()));
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -670,6 +684,7 @@ int main(int argc, char** argv) {
       if (opts.stats) {
         std::fprintf(stderr, "%s\n",
                      prof.stats.to_string(opts.machine.cost).c_str());
+        print_engine_stats(prof.run);
       }
       return 0;
     }
@@ -710,6 +725,7 @@ int main(int argc, char** argv) {
                        result.stats()
                            .to_string(opts.machine.cost)
                            .c_str());
+          print_engine_stats(result);
         }
         return 0;
       } catch (const uc::support::EscalatedFault& e) {
