@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -474,6 +475,93 @@ TEST(UccCli, AbortedProfiledRunStillFlushesTable) {
   EXPECT_EQ(p.exit_code, 1) << p.output;
   EXPECT_NE(p.output.find("self-cycles"), std::string::npos) << p.output;
   std::remove(path.c_str());
+}
+
+// The rows `ucc bench --json` wrote, keyed by engine; each row maps its
+// keys to their values (quotes stripped).
+using BenchRows = std::map<std::string, std::map<std::string, std::string>>;
+
+BenchRows read_bench_rows(const std::string& path) {
+  BenchRows rows;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::map<std::string, std::string> row;
+    for (auto key = line.find('"'); key != std::string::npos;) {
+      const auto key_end = line.find('"', key + 1);
+      const auto colon = line.find(": ", key_end);
+      const auto value_end = line.find_first_of(",}", colon);
+      std::string value = line.substr(colon + 2, value_end - colon - 2);
+      if (value.size() >= 2 && value.front() == '"') {
+        value = value.substr(1, value.size() - 2);
+      }
+      row[line.substr(key + 1, key_end - key - 1)] = value;
+      key = line.find('"', value_end);
+    }
+    if (row.count("engine") != 0) rows[row["engine"]] = row;
+  }
+  return rows;
+}
+
+// `ucc bench` on fig8 at its checked-in size with extra flags; the
+// command's result, and its JSON rows in `rows`.
+CommandResult bench_fig8(const std::string& flags, BenchRows& rows) {
+  const std::string json = "/tmp/ucc_cli_bench.json";
+  const std::string cache = "/tmp/ucc_cli_bench_native";
+  std::remove(json.c_str());
+  auto r = run_command(ucc() + " bench " + program("fig8_grid_obstacle.uc") +
+                       " --native-cache-dir=" + cache + " --json=" + json +
+                       flags);
+  rows = read_bench_rows(json);
+  run_command("rm -rf " + json + " " + cache);
+  return r;
+}
+
+// Four engine rows: walk and unfused bytecode charge the same cycles, and
+// native reproduces fused bytecode's cycles and output hash exactly.
+void expect_engine_rows_agree(const CommandResult& r, const BenchRows& rows) {
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  ASSERT_EQ(rows.count("walk"), 1u) << r.output;
+  ASSERT_EQ(rows.count("bytecode"), 1u) << r.output;
+  ASSERT_EQ(rows.count("bytecode-fused"), 1u) << r.output;
+  EXPECT_EQ(rows.at("walk").at("cycles"), rows.at("bytecode").at("cycles"));
+  EXPECT_EQ(rows.at("walk").at("output"), rows.at("bytecode").at("output"));
+  EXPECT_EQ(rows.at("walk").at("output").size(), 16u);
+  if (r.output.find("(skipped: no native toolchain)") != std::string::npos) {
+    GTEST_SKIP() << "no working native toolchain on this host";
+  }
+  ASSERT_EQ(rows.size(), 4u) << r.output;
+  EXPECT_EQ(rows.at("bytecode-native").at("cycles"),
+            rows.at("bytecode-fused").at("cycles"));
+  EXPECT_EQ(rows.at("bytecode-native").at("output"),
+            rows.at("bytecode-fused").at("output"));
+}
+
+TEST(UccCli, BenchWritesFourAgreeingEngineRows) {
+  BenchRows rows;
+  auto r = bench_fig8("", rows);
+  expect_engine_rows_agree(r, rows);
+}
+
+TEST(UccCli, BenchRowsAgreeUnderFaultsAndCheckpoints) {
+  BenchRows rows;
+  auto r = bench_fig8(
+      " --checkpoint-every=8"
+      " --faults='memory:p=1e-4;router:p=1e-4;news:p=1e-4,seed=7'",
+      rows);
+  expect_engine_rows_agree(r, rows);
+}
+
+TEST(UccCli, BenchSkipsNativeRowWithoutToolchain) {
+  BenchRows rows;
+  auto r = bench_fig8(" --native-cc=/bin/false", rows);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("bytecode-native    (skipped: no native "
+                          "toolchain)"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows.count("bytecode-native"), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #   tools/ci.sh plain    plain RelWithDebInfo build + ctest only
 #   tools/ci.sh asan     ASan/UBSan build + ctest only
 #   tools/ci.sh tsan     ThreadSanitizer build + concurrency suites
-#   tools/ci.sh bench    Release build + vm_engine --smoke only
+#   tools/ci.sh bench    Release build + tools/bench.sh --smoke only
 #   tools/ci.sh native   Release build + native-tier fig8 perf gate only
 #
 # The asan configuration re-runs the engine parity suite explicitly (the
@@ -193,70 +193,47 @@ run_tsan() {
       --gtest_filter='ShardParity*:EngineParity*:CommitProof*'
 }
 
+# Engine-configuration checks at the checked-in program sizes: every
+# `ucc bench` run must pass its own engine-agreement checks and the driver
+# its cross-configuration ones (tools/bench.sh); nothing is written.
 run_bench_smoke() {
-  cmake -B "$root/build-release" -S "$root" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$root/build-release" -j --target vm_engine
-  # vm_engine exits nonzero if any engine disagrees on output, if walk and
-  # unfused bytecode disagree on cycles, or if the fused rows cost more
-  # modeled cycles than unfused on any of fig6/7/8.
-  "$root/build-release/bench/vm_engine" --smoke
+  "$root/tools/bench.sh" --smoke
 }
 
-# Native-tier perf gate (docs/VM.md "Native tier"): rerun the fig8 engine
-# rows at full size and compare the bytecode-native row's host time
-# against the checked-in BENCH_vm.json baseline, failing on a >15%
-# regression.  Parity (output + modeled cycles) is already enforced by
-# vm_engine itself, which exits nonzero if the native row deviates from
+# Native-tier perf gate (docs/VM.md "Native tier"): time fig8 at 24x24
+# with `ucc bench --repeat=11` and fail unless the native row is at least
+# 5x faster than bytecode-fused in the same process.  `ucc bench` itself
+# exits nonzero if the native row's output or modeled cycles deviate from
 # fused bytecode.  A host without a working C++ toolchain records no
 # native row at all (never bytecode timings passed off as native); the
 # gate then skips, loudly.
 run_native_gate() {
   cmake -B "$root/build-release" -S "$root" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$root/build-release" -j --target vm_engine
+  cmake --build "$root/build-release" -j --target ucc
   local tmp; tmp="$(mktemp -d)"
-  # The checked-in baseline is itself a best-of run, so a single noisy
-  # measurement on a loaded host can overshoot the limit without any real
-  # regression.  Up to three attempts; the gate only fails if every one
-  # exceeds the limit (exit 1 = over limit, retryable; exit 2 = broken
-  # configuration, fail immediately).
-  local attempt rc
-  for attempt in 1 2 3; do
-    "$root/build-release/bench/vm_engine" --only=fig8 --rows=engines \
-        --json="$tmp/native.json"
-    rc=0
-    python3 - "$root/BENCH_vm.json" "$tmp/native.json" <<'PYEOF' || rc=$?
+  sed -e 's/^#define R .*/#define R 24/' -e 's/^#define C .*/#define C 24/' \
+      "$root/programs/fig8_grid_obstacle.uc" >"$tmp/fig8.uc"
+  local rc=0
+  "$root/build-release/tools/ucc" bench "$tmp/fig8.uc" --repeat=11 \
+      --native-cache-dir="$tmp/native" --json="$tmp/fig8.json" || rc=$?
+  if [ "$rc" -eq 0 ]; then
+    python3 - "$tmp/fig8.json" <<'PYEOF' || rc=$?
 import json, sys
 
-def native_ms(path):
-    for row in json.load(open(path)):
-        if (row["program"] == "fig8_grid_obstacle"
-                and row["engine"] == "bytecode-native"):
-            return row["host_ms"]
-    return None
-
-base = native_ms(sys.argv[1])
-cur = native_ms(sys.argv[2])
-if cur is None:
+ms = {row["engine"]: row["host_ms"] for row in json.load(open(sys.argv[1]))}
+if "bytecode-native" not in ms:
     print("ci.sh: NOTICE: no working native toolchain on this host; "
           "skipping the native-tier perf gate", file=sys.stderr)
     sys.exit(0)
-if base is None:
-    print("ci.sh: BENCH_vm.json has no fig8 bytecode-native baseline; "
-          "rerun tools/bench.sh", file=sys.stderr)
-    sys.exit(2)
-limit = base * 1.15
-print(f"ci.sh: native gate: fig8 bytecode-native host_ms {cur:.3f} "
-      f"vs baseline {base:.3f} (limit {limit:.3f})")
-sys.exit(1 if cur > limit else 0)
+fused, native = ms["bytecode-fused"], ms["bytecode-native"]
+ratio = fused / native
+print(f"ci.sh: native gate: fig8 24x24 bytecode-fused {fused:.3f} ms / "
+      f"bytecode-native {native:.3f} ms = {ratio:.2f}x (must be >= 5x)")
+sys.exit(0 if ratio >= 5 else 1)
 PYEOF
-    [ "$rc" -eq 0 ] && break
-    [ "$rc" -eq 1 ] && [ "$attempt" -lt 3 ] && continue
-    echo "ci.sh: native tier regressed more than 15% vs the BENCH_vm.json" \
-         "fig8 baseline on every attempt" >&2
-    rm -rf "$tmp"
-    exit 1
-  done
+  fi
   rm -rf "$tmp"
+  [ "$rc" -eq 0 ] || { echo "ci.sh: native-tier perf gate failed" >&2; exit 1; }
 }
 
 case "$mode" in

@@ -3,7 +3,9 @@
 //   ucc run program.uc            compile and execute on a simulated CM-2
 //   ucc profile program.uc        run with per-site attribution and print
 //                                 the hot-site table (docs/PROFILING.md)
-//   ucc bench program.uc          time the program under both VM engines
+//   ucc bench program.uc          time the program on four engine rows
+//                                 (walk, bytecode, fused, native) and
+//                                 check that they agree
 //   ucc check program.uc          report diagnostics (+ analysis warnings)
 //   ucc analyze program.uc        static analysis: interference + comm
 //                                 classification (docs/ANALYSIS.md)
@@ -17,11 +19,12 @@
 //   --stats                 print machine statistics and engine counters
 //                           after a run
 //   --trace                 print the Paris-style instruction trace
-//   --engine=<walk|bytecode>  VM execution engine (default bytecode)
+//   --engine=<walk|bytecode|native>  VM execution engine (default
+//                           bytecode)
 //   --fuse=<on|off>         statement fusion + communication-plan cache
 //                           on the bytecode engine (default on)
 //   --repeat=<n>            bench: report the median of n timed runs
-//                           after one untimed warmup (default 1, no warmup)
+//                           after one untimed warmup (default 1)
 //   --seed=<n>              machine RNG seed (default 1)
 //   --procs=<n>             physical processors (default 16384)
 //   --threads=<n>           host threads for the data-parallel runtime
@@ -35,7 +38,8 @@
 //   --no-notes              analyze: drop UC-Axxx notes, keep warnings
 //   --no-summary            analyze: drop the communication summary
 //   --werror                analyze: nonzero exit on any warning
-//   --json=<file>           analyze / optimize-map: machine-readable report
+//   --json=<file>           analyze / optimize-map / bench:
+//                           machine-readable report
 //   --emit=<file>           optimize-map: write the rewritten program
 //   --beam=<n>              optimize-map: beam width (default 4)
 //   --no-validate           optimize-map: trust the static prediction, skip
@@ -95,7 +99,8 @@ int usage() {
       "  run         compile and execute on a simulated CM-2\n"
       "  profile     run with per-site attribution; print the hot-site\n"
       "              table (modeled cycles, host ms, op mix, static join)\n"
-      "  bench       time the program under both VM engines\n"
+      "  bench       time the program on four engine rows (walk,\n"
+      "              bytecode, fused, native); fail if they disagree\n"
       "  check       report diagnostics (plus analysis warnings)\n"
       "  analyze     static analysis: par-block interference and\n"
       "              communication-pattern classification\n"
@@ -116,7 +121,8 @@ int usage() {
       "  --native-cc=<cc>      native: compiler driver (default\n"
       "                        $UC_NATIVE_CC or c++)\n"
       "  --fuse=<on|off>       statement fusion + plan cache (default on)\n"
-      "  --repeat=<n>          bench: median of n timed runs + warmup\n"
+      "  --repeat=<n>          bench: median of n timed runs after one\n"
+      "                        untimed warmup (default 1)\n"
       "  --json=<file>         bench: write the per-engine table as JSON\n"
       "  --seed=<n>            machine RNG seed (default 1)\n"
       "  --procs=<n>           physical processors (default 16384)\n"
@@ -193,7 +199,7 @@ struct Options {
   bool profile = false;          // run --profile (table to stderr)
   bool join_static = true;       // --no-static turns the join column off
   std::string profile_json;      // --profile=<out.json>
-  std::string sites_json;        // --json=<file> (profile/analyze/opt-map)
+  std::string sites_json;        // --json=<file> (every command that has one)
   std::string trace_json;        // --trace-json=<file>
   std::string emit_path;         // --emit=<file> (optimize-map)
   bool validate = true;          // --no-validate (optimize-map)
@@ -515,13 +521,13 @@ int main(int argc, char** argv) {
         uc::vm::ExecOptions eopts = opts.exec;
         eopts.engine = row.engine;
         eopts.fuse = row.fuse;
-        // --repeat=N: one untimed warmup, then the median of N timed runs
-        // (every run is a fresh machine; outputs and cycles are
-        // deterministic, only host time varies).
+        // One untimed warmup (it pays any native .so compile), then the
+        // median of --repeat timed runs (every run is a fresh machine;
+        // outputs and cycles are deterministic, only host time varies).
         const std::uint64_t runs = opts.repeat;
         std::vector<double> times;
         times.reserve(static_cast<std::size_t>(runs));
-        for (std::uint64_t r = (runs > 1 ? 0 : 1); r <= runs; ++r) {
+        for (std::uint64_t r = 0; r <= runs; ++r) {
           uc::cm::Machine machine(opts.machine);
           const auto t0 = std::chrono::steady_clock::now();
           auto result = program.run_on(machine, eopts);
@@ -560,12 +566,16 @@ int main(int argc, char** argv) {
         bool first = true;
         for (const auto& row : rows) {
           if (row.skipped) continue;
-          char buf[160];
+          // "output" is a hash of the printed output, so a driver can
+          // compare runs across invocations (tools/bench.sh).
+          char buf[192];
           std::snprintf(buf, sizeof buf,
                         "%s  {\"engine\": \"%s\", \"host_ms\": %.3f, "
-                        "\"cycles\": %llu}",
+                        "\"cycles\": %llu, \"output\": \"%016llx\"}",
                         first ? "" : ",\n", row.name, row.ms,
-                        static_cast<unsigned long long>(row.cycles));
+                        static_cast<unsigned long long>(row.cycles),
+                        static_cast<unsigned long long>(
+                            uc::support::fnv1a(row.output)));
           json += buf;
           first = false;
         }
