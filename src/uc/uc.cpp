@@ -4,6 +4,7 @@
 #include "codegen/cstar_emit.hpp"
 #include "codegen/pretty.hpp"
 #include "support/error.hpp"
+#include "ucvm/kernel_cache.hpp"
 #include "xform/const_fold.hpp"
 #include "xform/map_rewrite.hpp"
 #include "xform/solve_lower.hpp"
@@ -11,7 +12,7 @@
 namespace uc {
 
 Program::Program(std::unique_ptr<lang::CompilationUnit> unit)
-    : unit_(std::move(unit)) {}
+    : unit_(std::move(unit)), kernels_(std::make_unique<vm::KernelCache>()) {}
 
 Program::Program(Program&&) noexcept = default;
 Program& Program::operator=(Program&&) noexcept = default;
@@ -84,7 +85,7 @@ vm::RunResult Program::run(cm::MachineOptions machine_options,
 
 vm::RunResult Program::run_on(cm::Machine& machine,
                               vm::ExecOptions exec_options) const {
-  vm::Interp interp(*unit_, machine, exec_options);
+  vm::Interp interp(*unit_, machine, exec_options, kernels_.get());
   return interp.run();
 }
 
@@ -158,7 +159,12 @@ std::string ProfileResult::json() const {
       sites, stats, pool,
       prof::EngineCounters{run.bytecode_statements(),
                            run.walk_fallback_statements(),
-                           run.commits_proven(), run.commits_checked()});
+                           run.commits_proven(),
+                           run.commits_checked(),
+                           run.native_kernels_compiled(),
+                           run.native_cache_hits(),
+                           run.native_dispatches(),
+                           run.native_fallbacks()});
 }
 
 std::string ProfileResult::trace() const {

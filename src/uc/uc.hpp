@@ -165,6 +165,16 @@ class Program {
   ~Program();
 
   // Runs main() on a fresh simulated machine.
+  //
+  // Lane kernels compile lazily, on the first run that executes their
+  // statement, and stay with the Program until it is destroyed (moves
+  // carry them along): later runs reuse the bytecode kernels and the
+  // loaded native entry points instead of re-lowering, re-hashing and
+  // re-loading them (docs/VM.md "Compilation and caching").  Each
+  // RunResult still reports its own run's counters.  Runs of one Program
+  // must be sequential — the kernel cache, and the
+  // ReduceExpr::partition_optimized flags every run writes into the AST,
+  // are shared unsynchronised.
   vm::RunResult run(cm::MachineOptions machine_options = {},
                     vm::ExecOptions exec_options = {}) const;
   // Runs on an existing machine (stats accumulate there).
@@ -186,6 +196,9 @@ class Program {
  private:
   explicit Program(std::unique_ptr<lang::CompilationUnit> unit);
   std::unique_ptr<lang::CompilationUnit> unit_;
+  // Filled by runs (a const run_on reaches it through the pointer); keyed
+  // by the AST nodes of *unit_, whose addresses survive moves.
+  std::unique_ptr<vm::KernelCache> kernels_;
 };
 
 }  // namespace uc

@@ -39,6 +39,9 @@ class ArrayObj {
   const ArrayObj* storage_root() const {
     return parent_ ? parent_.get() : this;
   }
+  // Flat offset of this view's element 0 within storage_root() (0 unless
+  // a slice), so element e of the view is root element slice_offset() + e.
+  std::int64_t slice_offset() const { return offset_; }
 
   const std::string& name() const { return name_; }
   lang::ScalarKind scalar() const { return scalar_; }

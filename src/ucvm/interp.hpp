@@ -38,6 +38,7 @@ namespace uc::vm {
 namespace detail {
 struct Impl;
 }
+class KernelCache;  // ucvm/kernel_cache.hpp
 
 // How eval_lanes executes a synchronous statement over its lanes:
 //   * kWalk      — re-walk the sema'd expression tree per lane (reference).
@@ -160,11 +161,14 @@ class RunResult {
                        std::initializer_list<std::int64_t> indices) const;
   std::vector<Value> global_array(const std::string& name) const;
 
-  // Native-tier introspection (all zero unless engine == kNative): how many
-  // kernels were compiled this run vs loaded from the on-disk cache, how
-  // many chunk dispatches went through native entry points, and how many
-  // statements fell back to the bytecode tier (emitter declined, toolchain
-  // missing, or a per-dispatch assumption failed).
+  // Native-tier introspection (all zero unless engine == kNative), for
+  // this run only: how many kernels it compiled vs loaded from the on-disk
+  // cache, how many chunk dispatches went through native entry points, and
+  // how many statements fell back to the bytecode tier (emitter declined,
+  // toolchain missing, or a per-dispatch assumption failed).  A run that
+  // reuses kernels an earlier run of the same KernelCache (the same
+  // uc::Program) already loaded reports 0 compiled and 0 cache hits, and
+  // its own dispatch count.
   std::uint64_t native_kernels_compiled() const {
     return native_kernels_compiled_;
   }
@@ -203,8 +207,12 @@ class RunResult {
 
 class Interp {
  public:
+  // `kernels` holds the compiled kernels and loaded native entry points of
+  // `unit` across runs (uc::Program passes the one it owns); it must only
+  // ever serve this one unit, and runs sharing it must be sequential.
+  // Null: the run compiles into a private cache dropped with the Interp.
   Interp(const lang::CompilationUnit& unit, cm::Machine& machine,
-         ExecOptions options = {});
+         ExecOptions options = {}, KernelCache* kernels = nullptr);
 
   // Executes main().  Throws UcRuntimeError on runtime failures
   // (conflicting parallel writes, subscripts out of range, solve cycles,

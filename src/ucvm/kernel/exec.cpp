@@ -19,25 +19,8 @@ using lang::ScalarKind;
 using lang::SymbolKind;
 using lang::UnaryOp;
 
-Engine::Engine(Impl& vm) : vm_(vm) {
+Engine::Engine(Impl& vm, KernelCache& kernels) : vm_(vm), kernels_(kernels) {
   arenas_.resize(vm_.machine.pool().thread_count());
-}
-
-const Kernel* Engine::compile_cached(const Expr& expr) {
-  auto it = cache_.find(&expr);
-  if (it == cache_.end()) {
-    it = cache_.emplace(&expr, compile_expr(expr)).first;
-  }
-  return it->second.get();
-}
-
-const Kernel* Engine::compile_optimized_cached(const Expr& expr) {
-  auto it = opt_cache_.find(&expr);
-  if (it == opt_cache_.end()) {
-    const Expr* one[1] = {&expr};
-    it = opt_cache_.emplace(&expr, compile_fused(one, 1)).first;
-  }
-  return it->second.get();
 }
 
 namespace {
@@ -825,7 +808,7 @@ std::optional<std::vector<Value>> Engine::try_run(
     const std::vector<std::int64_t>& active, Frame* frame,
     std::uint64_t stmt_id, bool commit, bool optimize) {
   const Kernel* kern =
-      optimize ? compile_optimized_cached(expr) : compile_cached(expr);
+      optimize ? kernels_.optimized(expr) : kernels_.plain(expr);
   if (kern == nullptr) {
     ++fallback_statements_;
     return std::nullopt;
@@ -851,11 +834,7 @@ std::optional<std::vector<Value>> Engine::try_run(
 bool Engine::prepare_group(const Expr* const* stmts, std::size_t n,
                            LaneSpace& space, Frame* frame) {
   if (n < 2) return false;
-  auto it = fused_cache_.find(stmts[0]);
-  if (it == fused_cache_.end()) {
-    it = fused_cache_.emplace(stmts[0], compile_fused(stmts, n)).first;
-  }
-  const Kernel* kern = it->second.get();
+  const Kernel* kern = kernels_.fused(stmts, n);
   if (kern == nullptr || kern->num_members != n) return false;
   // Aliased members would miss each other's writes: run them unfused.
   if (!link(*kern, space, frame) || storage_aliased_) return false;
@@ -891,7 +870,7 @@ Impl::~Impl() = default;
 
 kernel::Engine& Impl::kernel_engine() {
   if (kernel_engine_ == nullptr) {
-    kernel_engine_ = std::make_unique<kernel::Engine>(*this);
+    kernel_engine_ = std::make_unique<kernel::Engine>(*this, kernels);
   }
   return *kernel_engine_;
 }

@@ -1,25 +1,25 @@
 // The lane-kernel engine: compile-once-per-statement bytecode execution
-// for eval_lanes (docs/VM.md).  One Engine lives inside each vm Impl; it
-// owns the kernel cache (keyed by Expr*), the per-execution link tables,
-// and the per-worker arenas that make steady-state lane execution
-// allocation-free.
+// for eval_lanes (docs/VM.md).  One Engine lives inside each vm Impl and
+// holds only per-run state: the per-execution link tables, the per-worker
+// arenas that make steady-state lane execution allocation-free, and the
+// run's counters.  Compiled kernels and loaded native entry points come
+// from the run's vm::KernelCache, which may outlive the run.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ucvm/interp_detail.hpp"
 #include "ucvm/kernel/bytecode.hpp"
+#include "ucvm/kernel_cache.hpp"
 #include "ucvm/native/native.hpp"
 
 namespace uc::vm::detail::kernel {
 
 class Engine {
  public:
-  explicit Engine(Impl& vm);
+  Engine(Impl& vm, KernelCache& kernels);
 
   // Runs one synchronous statement expression over the active lanes on the
   // bytecode engine: merges comm stats, charges dynamic communication,
@@ -57,12 +57,15 @@ class Engine {
   std::uint64_t compiled_statements() const { return compiled_statements_; }
   std::uint64_t fallback_statements() const { return fallback_statements_; }
   std::uint64_t fused_groups() const { return fused_groups_; }
-  std::size_t cache_size() const { return cache_.size(); }
 
-  // Native tier (engine == kNative): lazily constructed backend, null
-  // until the first native dispatch attempt.  native_fallbacks counts
-  // statement executions that wanted native but ran on bytecode.
-  const native::Backend* native_backend() const { return native_.get(); }
+  // Native tier (engine == kNative), this run only: kernels compiled or
+  // loaded from disk (0 for entries an earlier run of the same cache
+  // prepared), chunk dispatches through native entry points, and statement
+  // executions that wanted native but ran on bytecode.
+  const native::PrepareCounts& native_prepared() const {
+    return native_prepared_;
+  }
+  std::uint64_t native_dispatches() const { return native_dispatches_; }
   std::uint64_t native_fallbacks() const { return native_fallbacks_; }
 
  private:
@@ -157,8 +160,6 @@ class Engine {
   // Deepest ancestor-space chain a kernel may reference.
   static constexpr std::int32_t kMaxDepth = 32;
 
-  const Kernel* compile_cached(const Expr& expr);
-  const Kernel* compile_optimized_cached(const Expr& expr);
   bool link(const Kernel& k, LaneSpace& space, Frame* frame);
   // Link-time half of the commit proof (docs/VM.md "Commit"), over the
   // operand state link() just resolved.
@@ -187,11 +188,7 @@ class Engine {
                      const ReduceState& rs, AccessStats& stats) const;
 
   Impl& vm_;
-  std::unordered_map<const Expr*, std::unique_ptr<Kernel>> cache_;
-  // Optimised single-statement kernels (fuse=on) and fused group kernels
-  // keyed by their first member's statement expression.
-  std::unordered_map<const Expr*, std::unique_ptr<Kernel>> opt_cache_;
-  std::unordered_map<const Expr*, std::unique_ptr<Kernel>> fused_cache_;
+  KernelCache& kernels_;
   const Kernel* group_kernel_ = nullptr;  // linked by prepare_group
   // Link state, valid for the duration of one try_run call.
   std::vector<LinkedElem> elems_;
@@ -210,7 +207,9 @@ class Engine {
   std::uint64_t compiled_statements_ = 0;
   std::uint64_t fallback_statements_ = 0;
   std::uint64_t fused_groups_ = 0;
-  std::unique_ptr<native::Backend> native_;
+  // The cache's backend for this run's (cache dir, compiler), resolved at
+  // the first native dispatch attempt.
+  native::Backend* native_ = nullptr;
   // Native dispatch tables, mirrored from the linked operand state on
   // every dispatch.  Engine members (not locals) so their heap capacity
   // is reused across statements like the link-state vectors above.
@@ -218,6 +217,8 @@ class Engine {
   std::vector<native::NScalar> nscalars_;
   std::vector<native::NArray> narrays_;
   std::vector<native::NReduce> nreduces_;
+  native::PrepareCounts native_prepared_;
+  std::uint64_t native_dispatches_ = 0;
   std::uint64_t native_fallbacks_ = 0;
 };
 

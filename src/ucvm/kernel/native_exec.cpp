@@ -19,13 +19,11 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
   if (space.frontend) return false;
 
   if (native_ == nullptr) {
-    native::BackendOptions bopts;
-    bopts.cache_dir = vm_.opts.native_cache_dir;
-    bopts.cc = vm_.opts.native_cc;
-    bopts.log = vm_.opts.log;
-    native_ = std::make_unique<native::Backend>(std::move(bopts));
+    native_ = &kernels_.native_backend(vm_.opts.native_cache_dir,
+                                       vm_.opts.native_cc, vm_.opts.log);
   }
-  const native::Prepared* prep = native_->prepare(k);
+  const native::Prepared* prep =
+      native_->prepare(k, vm_.opts.log, native_prepared_);
   if (prep == nullptr) {
     ++native_fallbacks_;
     return false;
@@ -42,7 +40,6 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
   // those statements run on the bytecode tier (identical results).
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
     if (arrays_[i].flt != (prep->array_flt[i] != 0)) {
-      native_->note_assume_failure();
       ++native_fallbacks_;
       return false;
     }
@@ -53,13 +50,11 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     if (ls.home == ScalarHome::kLaneLocal) {
       for (const Value& v : *ls.store) {
         if (v.is_float != want) {
-          native_->note_assume_failure();
           ++native_fallbacks_;
           return false;
         }
       }
     } else if (ls.value->is_float != want) {
-      native_->note_assume_failure();
       ++native_fallbacks_;
       return false;
     }
@@ -187,7 +182,7 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     }
   };
 
-  native_->note_dispatch();
+  ++native_dispatches_;
   const unsigned shards = vm_.machine.shard_count();
   if (shards > 1 && n > cm::ThreadPool::kInlineCutoff) {
     // Sharded dispatch, same layout as the bytecode path; the per-shard

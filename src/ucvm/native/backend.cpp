@@ -31,25 +31,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string default_cache_dir() {
-  if (const char* env = std::getenv("UC_NATIVE_CACHE_DIR");
-      env != nullptr && *env != '\0') {
-    return env;
-  }
-  std::error_code ec;
-  fs::path base = fs::temp_directory_path(ec);
-  if (ec) base = "/tmp";
-  return (base / ("uc-native-cache-" + std::to_string(::getuid()))).string();
-}
-
-std::string default_cc() {
-  if (const char* env = std::getenv("UC_NATIVE_CC");
-      env != nullptr && *env != '\0') {
-    return env;
-  }
-  return "c++";
-}
-
 std::string shell_quote(const std::string& s) {
   std::string q = "'";
   for (char c : s) {
@@ -63,13 +44,40 @@ std::string shell_quote(const std::string& s) {
   return q;
 }
 
+void note(const Log& log, const std::string& msg) {
+  if (log) {
+    log(msg);
+  } else {
+    std::fprintf(stderr, "ucvm: %s\n", msg.c_str());
+  }
+}
+
 }  // namespace
 
-Backend::Backend(BackendOptions opts)
-    : cache_dir_(opts.cache_dir.empty() ? default_cache_dir()
-                                        : opts.cache_dir),
-      cc_(opts.cc.empty() ? default_cc() : opts.cc),
-      log_(std::move(opts.log)) {
+BackendOptions resolve_options(const std::string& cache_dir,
+                               const std::string& cc) {
+  BackendOptions r{cache_dir, cc};
+  if (r.cache_dir.empty()) {
+    if (const char* env = std::getenv("UC_NATIVE_CACHE_DIR");
+        env != nullptr && *env != '\0') {
+      r.cache_dir = env;
+    } else {
+      std::error_code ec;
+      fs::path base = fs::temp_directory_path(ec);
+      if (ec) base = "/tmp";
+      r.cache_dir =
+          (base / ("uc-native-cache-" + std::to_string(::getuid()))).string();
+    }
+  }
+  if (r.cc.empty()) {
+    const char* env = std::getenv("UC_NATIVE_CC");
+    r.cc = env != nullptr && *env != '\0' ? env : "c++";
+  }
+  return r;
+}
+
+Backend::Backend(BackendOptions resolved, const Log& log)
+    : cache_dir_(std::move(resolved.cache_dir)), cc_(std::move(resolved.cc)) {
   // -ffp-contract=off matters: the default (fast) lets the compiler fuse
   // a*b+c into fma, which changes float results by one rounding step and
   // would break bit-identity with the bytecode tier.
@@ -77,10 +85,9 @@ Backend::Backend(BackendOptions opts)
       "-std=c++17 -O3 -fPIC -shared -fvisibility=hidden -ffp-contract=off";
   std::error_code ec;
   fs::create_directories(cache_dir_, ec);
-  cache_dir_ok_ = !ec && fs::is_directory(cache_dir_, ec);
-  if (!cache_dir_ok_) {
-    note("native: cache directory '" + cache_dir_ +
-         "' is unusable; native tier disabled");
+  if (ec || !fs::is_directory(cache_dir_, ec)) {
+    note(log, "native: cache directory '" + cache_dir_ +
+                  "' is unusable; native tier disabled");
     toolchain_ok_ = false;
   }
 }
@@ -92,15 +99,8 @@ Backend::~Backend() {
   }
 }
 
-void Backend::note(const std::string& msg) const {
-  if (log_) {
-    log_(msg);
-  } else {
-    std::fprintf(stderr, "ucvm: %s\n", msg.c_str());
-  }
-}
-
-const Prepared* Backend::prepare(const kernel::Kernel& k) {
+const Prepared* Backend::prepare(const kernel::Kernel& k, const Log& log,
+                                 PrepareCounts& counts) {
   auto it = cache_.find(&k);
   if (it != cache_.end()) return it->second.get();
   auto& slot = cache_[&k];  // default nullptr = negative entry
@@ -108,10 +108,7 @@ const Prepared* Backend::prepare(const kernel::Kernel& k) {
 
   auto prep = std::make_unique<Prepared>();
   std::string source = emit_source(k, *prep);
-  if (source.empty()) {
-    ++emit_declined_;
-    return nullptr;
-  }
+  if (source.empty()) return nullptr;
   // Key: source text x compiler command line x ABI version.
   std::uint64_t hash = support::fnv1a(source);
   hash = support::fnv1a(cc_, hash);
@@ -119,22 +116,21 @@ const Prepared* Backend::prepare(const kernel::Kernel& k) {
   hash = support::fnv1a_u64(kAbiVersion, hash);
   // The emitted code needs its own hash for uc_native_info; feed it in as
   // a macro so the text itself stays hash-stable.
-  Loaded loaded = load_or_compile(source, hash);
+  Loaded loaded = load_or_compile(source, hash, log);
   if (loaded.entry == nullptr) return nullptr;
   prep->entry = loaded.entry;
   prep->source_hash = hash;
-  prep->cache_hit = loaded.cache_hit;
   if (loaded.cache_hit) {
-    ++cache_hits_;
+    ++counts.cache_hits;
   } else {
-    ++kernels_compiled_;
+    ++counts.kernels_compiled;
   }
   slot = std::move(prep);
-  return cache_[&k].get();
+  return slot.get();
 }
 
 Backend::Loaded Backend::load_or_compile(const std::string& source,
-                                         std::uint64_t hash) {
+                                         std::uint64_t hash, const Log& log) {
   char name[32];
   std::snprintf(name, sizeof name, "uc_%016llx",
                 static_cast<unsigned long long>(hash));
@@ -150,7 +146,7 @@ Backend::Loaded Backend::load_or_compile(const std::string& source,
         info->abi_version != kAbiVersion ||
         info->sizeof_args != sizeof(NativeArgs) || info->source_hash != hash) {
       if (expect_valid) {
-        note("native: cached object '" + so_path +
+        note(log, "native: cached object '" + so_path +
              "' is stale or corrupt; recompiling");
       }
       ::dlclose(handle);
@@ -175,21 +171,25 @@ Backend::Loaded Backend::load_or_compile(const std::string& source,
 
   const std::string src_path =
       cache_dir_ + "/" + name + "." + std::to_string(::getpid()) + ".cpp";
+  // The backend outlives its run; the directory may have been removed
+  // since the backend created it.
+  fs::create_directories(cache_dir_, ec);
   {
     std::ofstream out(src_path, std::ios::binary | std::ios::trunc);
     out << source;
     if (!out) {
-      note("native: cannot write '" + src_path + "'; native tier disabled");
+      note(log,
+           "native: cannot write '" + src_path + "'; native tier disabled");
       toolchain_ok_ = false;
       return {};
     }
   }
-  const bool ok = compile_to(src_path, so_path, hash);
+  const bool ok = compile_to(src_path, so_path, hash, log);
   fs::remove(src_path, ec);
   if (!ok) return {};
   Loaded l = try_load(/*expect_valid=*/false);
   if (l.entry == nullptr) {
-    note("native: freshly compiled object '" + so_path +
+    note(log, "native: freshly compiled object '" + so_path +
          "' failed to load; native tier disabled");
     toolchain_ok_ = false;
     return {};
@@ -199,7 +199,8 @@ Backend::Loaded Backend::load_or_compile(const std::string& source,
 }
 
 bool Backend::compile_to(const std::string& src_path,
-                         const std::string& so_path, std::uint64_t hash) {
+                         const std::string& so_path, std::uint64_t hash,
+                         const Log& log) {
   const std::string tmp_path =
       so_path + "." + std::to_string(::getpid()) + ".tmp";
   char hash_def[64];
@@ -225,7 +226,7 @@ bool Backend::compile_to(const std::string& src_path,
     toolchain_ok_ = false;
     if (!warned_toolchain_) {
       warned_toolchain_ = true;
-      note("native: host toolchain '" + cc_ +
+      note(log, "native: host toolchain '" + cc_ +
            "' cannot build lane kernels; falling back to the bytecode "
            "engine (set --native-cc or $UC_NATIVE_CC)");
     }
@@ -235,7 +236,7 @@ bool Backend::compile_to(const std::string& src_path,
   fs::rename(tmp_path, so_path, ec);
   if (ec) {
     fs::remove(tmp_path, ec);
-    note("native: cannot move compiled object into '" + so_path + "'");
+    note(log, "native: cannot move compiled object into '" + so_path + "'");
     return false;
   }
   return true;

@@ -1,10 +1,13 @@
 // The native lane-kernel tier (docs/VM.md "Native tier"): lowers bytecode
 // Kernels to C++ source, compiles them out-of-process with the host
 // toolchain into shared objects, and dlopens the result.  The Backend
-// owns the emit -> cache -> compile -> load pipeline and the per-Kernel
-// prepared-program cache; dispatch (building NativeArgs from the link
-// tables and running chunks on the thread pool) stays in kernel::Engine,
-// which is the only code that can see the linked operand state.
+// owns the emit -> cache -> compile -> load pipeline, the per-Kernel
+// prepared-program cache and the loaded handles; it lives in the
+// vm::KernelCache beside the kernels it prepares, so loaded entry points
+// outlive the run.  Dispatch (building NativeArgs from the link tables and
+// running chunks on the thread pool) and the per-run counters stay in
+// kernel::Engine, which is the only code that can see the linked operand
+// state.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +28,6 @@ struct Prepared {
   using EntryFn = void (*)(NativeArgs*);
   EntryFn entry = nullptr;
   std::uint64_t source_hash = 0;
-  bool cache_hit = false;  // loaded from disk without recompiling
   // Emit-time assumptions the host re-validates per dispatch; a mismatch
   // (e.g. a scalar dynamically holding the other representation) falls
   // back to bytecode for that execution only.
@@ -40,37 +42,47 @@ struct Prepared {
   std::uint32_t num_members = 1;
 };
 
+// A resolved (cache directory, compiler) pair: the identity of a Backend's
+// prepared entries.
 struct BackendOptions {
-  std::string cache_dir;  // empty: $UC_NATIVE_CACHE_DIR or a /tmp default
-  std::string cc;         // empty: $UC_NATIVE_CC or "c++"
-  std::function<void(const std::string&)> log;  // may be null
+  std::string cache_dir;
+  std::string cc;
 };
+
+// Resolves empty fields: cache_dir from $UC_NATIVE_CACHE_DIR or a per-user
+// directory under the system temp path, cc from $UC_NATIVE_CC or "c++".
+BackendOptions resolve_options(const std::string& cache_dir,
+                               const std::string& cc);
+
+// What one run's prepare calls cost, for RunResult: kernels built by the
+// compiler vs loaded from the on-disk cache.  Entries a previous run
+// already prepared count as neither.
+struct PrepareCounts {
+  std::uint64_t kernels_compiled = 0;
+  std::uint64_t cache_hits = 0;
+};
+
+using Log = std::function<void(const std::string&)>;  // may be null
 
 class Backend {
  public:
-  explicit Backend(BackendOptions opts);
+  Backend(BackendOptions resolved, const Log& log);
   ~Backend();
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
   // Emit + compile + load `k`, cached per Kernel pointer (kernels are
-  // owned by the Engine's caches, so the pointer is stable).  Returns
-  // nullptr when the emitter declines the kernel or the toolchain is
-  // unavailable/broken — the caller then runs the kernel on the bytecode
-  // tier.  Negative results are cached too.
-  const Prepared* prepare(const kernel::Kernel& k);
+  // owned by the same vm::KernelCache as this backend, so the pointer is
+  // stable for the backend's lifetime).  Returns nullptr when the emitter
+  // declines the kernel or the toolchain is unavailable/broken — the
+  // caller then runs the kernel on the bytecode tier.  Negative results
+  // are cached too.  Notices go to `log` (stderr when null); a fresh
+  // compile or disk load is counted in `counts`.
+  const Prepared* prepare(const kernel::Kernel& k, const Log& log,
+                          PrepareCounts& counts);
 
-  bool toolchain_ok() const { return toolchain_ok_; }
   const std::string& cache_dir() const { return cache_dir_; }
-
-  // Counters for tests, ucc bench and RunResult introspection.
-  std::uint64_t kernels_compiled() const { return kernels_compiled_; }
-  std::uint64_t cache_hits() const { return cache_hits_; }
-  std::uint64_t emit_declined() const { return emit_declined_; }
-  std::uint64_t dispatches() const { return dispatches_; }
-  std::uint64_t assume_failures() const { return assume_failures_; }
-  void note_dispatch() { ++dispatches_; }
-  void note_assume_failure() { ++assume_failures_; }
+  const std::string& cc() const { return cc_; }
 
  private:
   struct Loaded {
@@ -78,25 +90,18 @@ class Backend {
     Prepared::EntryFn entry = nullptr;
     bool cache_hit = false;
   };
-  Loaded load_or_compile(const std::string& source, std::uint64_t hash);
+  Loaded load_or_compile(const std::string& source, std::uint64_t hash,
+                         const Log& log);
   bool compile_to(const std::string& src_path, const std::string& so_path,
-                  std::uint64_t hash);
-  void note(const std::string& msg) const;
+                  std::uint64_t hash, const Log& log);
 
   std::string cache_dir_;
   std::string cc_;
   std::string extra_flags_;
-  std::function<void(const std::string&)> log_;
-  bool cache_dir_ok_ = false;
   bool toolchain_ok_ = true;       // until a compile fails structurally
   bool warned_toolchain_ = false;  // loud notice printed once
   std::unordered_map<const kernel::Kernel*, std::unique_ptr<Prepared>> cache_;
   std::vector<void*> handles_;  // dlclosed on destruction
-  std::uint64_t kernels_compiled_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t emit_declined_ = 0;
-  std::uint64_t dispatches_ = 0;
-  std::uint64_t assume_failures_ = 0;
 };
 
 // Lowers `k` to a self-contained C++ translation unit implementing

@@ -70,6 +70,47 @@ TEST(UccCli, StatsFlagPrintsEngineCounters) {
       << walk.output;
 }
 
+// The native counters on the engine line and in `ucc profile --json`: a
+// run into an empty .so cache compiles fig8's five kernels, the next
+// process loads them all from disk, and both dispatch every compiled
+// statement natively.
+TEST(UccCli, StatsAndProfileReportNativeCounters) {
+  const std::string cache = "/tmp/ucc_cli_native_counters";
+  const std::string json = "/tmp/ucc_cli_native_counters.json";
+  run_command("rm -rf " + cache + " " + json);
+  const std::string args = program("fig8_grid_obstacle.uc") +
+                           " --engine=native --native-cache-dir=" + cache;
+  auto cold = run_command(ucc() + " run " + args + " --stats");
+  EXPECT_EQ(cold.exit_code, 0) << cold.output;
+  if (cold.output.find("native_dispatches=0 ") != std::string::npos) {
+    run_command("rm -rf " + cache);
+    GTEST_SKIP() << "no working native toolchain on this host";
+  }
+  EXPECT_NE(cold.output.find("native_kernels_compiled=5 native_cache_hits=0 "
+                             "native_dispatches=33 native_fallbacks=0 "
+                             "bytecode_stmts=33 "),
+            std::string::npos)
+      << cold.output;
+  auto warm = run_command(ucc() + " run " + args + " --stats");
+  EXPECT_EQ(warm.exit_code, 0) << warm.output;
+  EXPECT_NE(warm.output.find("native_kernels_compiled=0 native_cache_hits=5 "
+                             "native_dispatches=33 native_fallbacks=0 "),
+            std::string::npos)
+      << warm.output;
+  auto prof = run_command(ucc() + " profile " + args + " --json=" + json);
+  EXPECT_EQ(prof.exit_code, 0) << prof.output;
+  std::ifstream in(json);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("\"native_kernels_compiled\": 0, "
+                           "\"native_cache_hits\": 5, "
+                           "\"native_dispatches\": 33, "
+                           "\"native_fallbacks\": 0}"),
+            std::string::npos)
+      << buf.str();
+  run_command("rm -rf " + cache + " " + json);
+}
+
 TEST(UccCli, CheckReportsOk) {
   auto r = run_command(ucc() + " check " + program("shortest_path.uc"));
   EXPECT_EQ(r.exit_code, 0);

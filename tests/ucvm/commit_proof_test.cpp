@@ -6,7 +6,8 @@
 //     "conflicting parallel assignment" error, at the same site, on walk,
 //     bytecode, fused bytecode and native (native degrades to bytecode on
 //     a host without a toolchain, where the assertions still hold);
-//   - aliasing that the conflict table never saw keeps its output;
+//   - aliased views of one array (slices, a slice and its parent) collide
+//     by storage, so their conflicts are reported like any other;
 //   - the paper workloads (Figs 6-8) take the proven path for every commit,
 //     unsharded and on four shards.
 #include <gtest/gtest.h>
@@ -219,16 +220,38 @@ TEST(CommitProof, AliasedArrayParamsInOneFusableBody) {
       /*checked=*/false);
 }
 
-// Two slices of one row alias each other.  The conflict table keys on the
-// view, so it has never reported this; the commit must stay checked (lane
-// order decides the value) rather than be proven.
+// Two slices of one row alias each other.  The commit stays checked rather
+// than proven, and the conflict table keys writes by storage, so x[i] and
+// y[i] collide exactly as two stores through one array would; the message
+// names the element in the view's own coordinates.
 TEST(CommitProof, AliasedSlicesStayChecked) {
+  expect_conflict_everywhere(
+      "#define N 4\n"
+      "index_set I:i = {0..N-1};\n"
+      "int d[N][N];\n"
+      "void f(int x[N], int y[N]) { par (I) x[i] = (y[i] = i) + 1; }\n"
+      "void main() { f(d[1], d[1]); print(d[1][0], d[1][3]); }");
+}
+
+// A slice and its parent in one statement: the row view's element k is
+// the parent's element [1][k].
+TEST(CommitProof, SliceAndParentConflict) {
+  expect_conflict_everywhere(
+      "#define N 4\n"
+      "index_set I:i = {0..N-1};\n"
+      "int d[N][N];\n"
+      "void f(int x[N], int y[N][N]) { par (I) x[i] = (y[1][i] = i) + 1; }\n"
+      "void main() { f(d[1], d); }");
+}
+
+// Disjoint slices of one array share storage but no element: no conflict.
+TEST(CommitProof, DisjointSlicesDoNotConflict) {
   expect_parity(
       "#define N 4\n"
       "index_set I:i = {0..N-1};\n"
       "int d[N][N];\n"
       "void f(int x[N], int y[N]) { par (I) x[i] = (y[i] = i) + 1; }\n"
-      "void main() { f(d[1], d[1]); print(d[1][0], d[1][3]); }",
+      "void main() { f(d[1], d[2]); print(d[1][0], d[2][3]); }",
       /*checked=*/true);
 }
 

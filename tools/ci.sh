@@ -168,6 +168,9 @@ run_asan() {
   # (byte-identical output, cycles never above unfused).
   "$root/build-asan/tests/ucvm/test_ucvm" \
       --gtest_filter='EngineParity*:ShardParity*:CommitProof*'
+  # Kernels and loaded native objects reused across the runs of one
+  # Program, then unloaded with it.
+  "$root/build-asan/tests/uc/test_uc_api" --gtest_filter='ProgramReuse*'
   run_profile_smoke "$root/build-asan"
   run_fused_smoke "$root/build-asan"
   run_fault_smoke "$root/build-asan"
@@ -183,7 +186,8 @@ run_asan() {
 # suites run under TSan.  The full ctest tier under TSan is slow; this lane
 # focuses on the suites that actually fork and join threads: the cm pool /
 # shard / ops / machine tests and the engine + shard differential suites,
-# which run every paper program through the sharded dispatch paths.
+# which run every paper program through the sharded dispatch paths, plus
+# the Program-reuse suite, whose kernels outlive the pool of each run.
 run_tsan() {
   cmake -B "$root/build-tsan" -S "$root" -DUC_SANITIZE="thread"
   cmake --build "$root/build-tsan" -j
@@ -191,6 +195,7 @@ run_tsan() {
       --gtest_filter='ThreadPool*:Threads/*:PoolShards*:Shard*:ShiftExchange*:MachineShards*:Machine*:Ops*'
   "$root/build-tsan/tests/ucvm/test_ucvm" \
       --gtest_filter='ShardParity*:EngineParity*:CommitProof*'
+  "$root/build-tsan/tests/uc/test_uc_api" --gtest_filter='ProgramReuse*'
 }
 
 # Engine-configuration checks at the checked-in program sizes: every
@@ -202,7 +207,9 @@ run_bench_smoke() {
 
 # Native-tier perf gate (docs/VM.md "Native tier"): time fig8 at 24x24
 # with `ucc bench --repeat=11` and fail unless the native row is at least
-# 5x faster than bytecode-fused in the same process.  `ucc bench` itself
+# 5x faster than bytecode-fused in the same process.  Every row runs one
+# Program, so its timed runs reuse the kernels (and, on the native row,
+# the loaded .so entry points) its warmup built.  `ucc bench` itself
 # exits nonzero if the native row's output or modeled cycles deviate from
 # fused bytecode.  A host without a working C++ toolchain records no
 # native row at all (never bytecode timings passed off as native); the

@@ -169,12 +169,19 @@ bool write_file(const std::string& path, const std::string& content) {
   return static_cast<bool>(out);
 }
 
-// Second --stats line: which tier ran the statements and how their
-// writes were committed (docs/VM.md "Commit").
+// Second --stats line: what the native tier cost and did this run, which
+// tier ran the statements, and how their writes were committed (docs/VM.md
+// "Native tier", "Commit").
 void print_engine_stats(const uc::vm::RunResult& r) {
   std::fprintf(stderr,
+               "native_kernels_compiled=%llu native_cache_hits=%llu "
+               "native_dispatches=%llu native_fallbacks=%llu "
                "bytecode_stmts=%llu walk_fallback_stmts=%llu "
                "commits_proven=%llu commits_checked=%llu\n",
+               static_cast<unsigned long long>(r.native_kernels_compiled()),
+               static_cast<unsigned long long>(r.native_cache_hits()),
+               static_cast<unsigned long long>(r.native_dispatches()),
+               static_cast<unsigned long long>(r.native_fallbacks()),
                static_cast<unsigned long long>(r.bytecode_statements()),
                static_cast<unsigned long long>(r.walk_fallback_statements()),
                static_cast<unsigned long long>(r.commits_proven()),
@@ -521,9 +528,10 @@ int main(int argc, char** argv) {
         uc::vm::ExecOptions eopts = opts.exec;
         eopts.engine = row.engine;
         eopts.fuse = row.fuse;
-        // One untimed warmup (it pays any native .so compile), then the
-        // median of --repeat timed runs (every run is a fresh machine;
-        // outputs and cycles are deterministic, only host time varies).
+        // One untimed warmup (it pays the kernel compiles and any native
+        // .so compile and load, which the Program keeps), then the median
+        // of --repeat timed runs (every run is a fresh machine; outputs
+        // and cycles are deterministic, only host time varies).
         const std::uint64_t runs = opts.repeat;
         std::vector<double> times;
         times.reserve(static_cast<std::size_t>(runs));
