@@ -310,13 +310,16 @@ std::string sites_json(const std::vector<Site>& sites,
   out += format(
       ",\n  \"engine\": {\"bytecode_stmts\": %llu, "
       "\"walk_fallback_stmts\": %llu, \"commits_proven\": %llu, "
-      "\"commits_checked\": %llu, \"native_kernels_compiled\": %llu, "
+      "\"commits_checked\": %llu, \"writes_proven\": %llu, "
+      "\"writes_checked\": %llu, \"native_kernels_compiled\": %llu, "
       "\"native_cache_hits\": %llu, \"native_dispatches\": %llu, "
       "\"native_fallbacks\": %llu}",
       static_cast<unsigned long long>(engine.bytecode_stmts),
       static_cast<unsigned long long>(engine.walk_fallback_stmts),
       static_cast<unsigned long long>(engine.commits_proven),
       static_cast<unsigned long long>(engine.commits_checked),
+      static_cast<unsigned long long>(engine.writes_proven),
+      static_cast<unsigned long long>(engine.writes_checked),
       static_cast<unsigned long long>(engine.native_kernels_compiled),
       static_cast<unsigned long long>(engine.native_cache_hits),
       static_cast<unsigned long long>(engine.native_dispatches),

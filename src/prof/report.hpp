@@ -25,13 +25,16 @@ struct PoolUtilization {
 // Run-wide VM engine counters (docs/VM.md "Commit", "Native tier"),
 // mirrored from vm::RunResult: statements run compiled vs on the walk
 // fallback, commits applied under the lane-injectivity proof vs
-// conflict-checked, and the run's native kernels compiled, loaded from
-// the .so cache, dispatched, and fallen back to bytecode.
+// conflict-checked and the writes each applied, and the run's native
+// kernels compiled, loaded from the .so cache, dispatched, and fallen back
+// to bytecode.
 struct EngineCounters {
   std::uint64_t bytecode_stmts = 0;
   std::uint64_t walk_fallback_stmts = 0;
   std::uint64_t commits_proven = 0;
   std::uint64_t commits_checked = 0;
+  std::uint64_t writes_proven = 0;
+  std::uint64_t writes_checked = 0;
   std::uint64_t native_kernels_compiled = 0;
   std::uint64_t native_cache_hits = 0;
   std::uint64_t native_dispatches = 0;

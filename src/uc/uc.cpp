@@ -161,6 +161,8 @@ std::string ProfileResult::json() const {
                            run.walk_fallback_statements(),
                            run.commits_proven(),
                            run.commits_checked(),
+                           run.writes_proven(),
+                           run.writes_checked(),
                            run.native_kernels_compiled(),
                            run.native_cache_hits(),
                            run.native_dispatches(),

@@ -423,6 +423,8 @@ RunResult Impl::run() {
   }
   result.commits_proven_ = commits_proven;
   result.commits_checked_ = commits_checked;
+  result.writes_proven_ = writes_proven;
+  result.writes_checked_ = writes_checked;
   for (const Symbol* g : unit.sema.globals) {
     const auto& slot = globals[static_cast<std::size_t>(g->slot)];
     if (slot.kind == FrameSlot::Kind::kScalar) {

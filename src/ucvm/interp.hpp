@@ -180,13 +180,16 @@ class RunResult {
   // executions that ran compiled (bytecode or native) vs fell back to the
   // tree walk from a bytecode/native engine, and commits of at least one
   // buffered write that skipped the conflict table under the lane-
-  // injectivity proof vs went through it (every walk commit is checked).
+  // injectivity proof vs went through it (every walk commit is checked),
+  // and the writes each kind of commit applied.
   std::uint64_t bytecode_statements() const { return bytecode_statements_; }
   std::uint64_t walk_fallback_statements() const {
     return walk_fallback_statements_;
   }
   std::uint64_t commits_proven() const { return commits_proven_; }
   std::uint64_t commits_checked() const { return commits_checked_; }
+  std::uint64_t writes_proven() const { return writes_proven_; }
+  std::uint64_t writes_checked() const { return writes_checked_; }
 
  private:
   friend class Interp;
@@ -203,6 +206,8 @@ class RunResult {
   std::uint64_t walk_fallback_statements_ = 0;
   std::uint64_t commits_proven_ = 0;
   std::uint64_t commits_checked_ = 0;
+  std::uint64_t writes_proven_ = 0;
+  std::uint64_t writes_checked_ = 0;
 };
 
 class Interp {

@@ -387,7 +387,7 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
     std::vector<AccessStats> member_stats;
     {
       ProfScope prof_scope(*this, stmts[0], "stmt", stmts[0]->range);
-      eng.run_group(space, active, frame, first_stmt_id, member_stats);
+      eng.run_group(space, active, first_stmt_id, member_stats);
     }
     for (std::size_t k = 0; k < count; ++k) {
       ProfScope prof_scope(*this, stmts[k], "stmt", stmts[k]->range);
@@ -414,8 +414,28 @@ bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
 
 void Impl::commit_begin(std::size_t expected_writes) {
   ++commits_checked;
+  writes_checked += expected_writes;
   commit_seen_.begin(expected_writes);
 }
+
+namespace {
+
+// The scalar a write's site assigns: the identifier on the left of an
+// assignment or under a ++/--.  Null where the site names no single
+// variable (swap).
+const lang::IdentExpr* assigned_scalar(const Expr* where) {
+  if (where == nullptr) return nullptr;
+  const Expr* lhs = nullptr;
+  if (where->kind == lang::ExprKind::kAssign) {
+    lhs = static_cast<const lang::AssignExpr*>(where)->lhs.get();
+  } else if (where->kind == lang::ExprKind::kIncDec) {
+    lhs = static_cast<const lang::IncDecExpr*>(where)->operand.get();
+  }
+  if (lhs == nullptr || lhs->kind != lang::ExprKind::kIdent) return nullptr;
+  return static_cast<const lang::IdentExpr*>(lhs);
+}
+
+}  // namespace
 
 void Impl::commit_check(const Write& w) {
   const CommitSeen::Slot* seen = commit_seen_.check_insert(w);
@@ -429,6 +449,8 @@ void Impl::commit_check(const Write& w) {
       for (std::size_t d = 0; d < arr->dims().size(); ++d) {
         what += "[" + std::to_string(coords[d]) + "]";
       }
+    } else if (const auto* id = assigned_scalar(w.where)) {
+      what += " to " + id->name;
     }
     what += ": values " + seen->value.to_string() + " and " +
             w.value.to_string() +

@@ -117,6 +117,28 @@ struct Write {
   const Expr* where = nullptr;  // for error messages
 };
 
+// A write buffered by the kernel engine (docs/VM.md "Commit"): 24 bytes
+// where a Write takes 64.  `ip` is the store instruction's position in the
+// kernel, which names both the target operand and the error site; `index`
+// is the flat element of an array store, the lane of a lane-local scalar
+// store, and 0 for a global or frame scalar; `bits` and `flt` hold the
+// stored Value.  Native kernels write records straight into a reserved
+// buffer tail, so the members have no default initializers: reserving
+// that tail must not cost a zero fill.
+struct WriteRec {
+  std::int64_t index;
+  std::uint64_t bits;
+  std::uint32_t ip;
+  std::uint32_t flt;
+
+  static WriteRec of(std::size_t ip, std::int64_t index, const Value& v) {
+    return WriteRec{index, v.to_bits(), static_cast<std::uint32_t>(ip),
+                    v.is_float ? 1u : 0u};
+  }
+  Value value() const { return Value::from_bits(bits, flt != 0); }
+};
+static_assert(sizeof(WriteRec) == 24, "WriteRec is the native ABI's NWrite");
+
 // Open-addressing conflict table for one commit's writes.  Every parallel
 // statement funnels its buffered writes through here (paper §3.4: each
 // variable may receive at most one value), so the per-write probe is on
@@ -363,9 +385,12 @@ struct Impl {
   CommitSeen commit_seen_;
   // Commits of at least one buffered write, by path: applied without the
   // conflict table under the kernel engine's proof, or conflict-checked
-  // (every walk commit, every unproven kernel commit).
+  // (every walk commit, every unproven kernel commit); and the writes
+  // those commits applied.
   std::uint64_t commits_proven = 0;
   std::uint64_t commits_checked = 0;
+  std::uint64_t writes_proven = 0;
+  std::uint64_t writes_checked = 0;
 
   // --- expression evaluation (per lane) ---
   Value eval(const Expr& e, EvalCtx& ctx);

@@ -42,7 +42,17 @@ bool geom_equals(const std::vector<std::int64_t>& base, std::size_t base_dims,
 
 }  // namespace
 
+void Engine::WriteBuf::grow(std::size_t need) {
+  const std::size_t cap = std::max({need, cap_ * 2, std::size_t{256}});
+  auto fresh = std::make_unique_for_overwrite<WriteRec[]>(cap);
+  std::copy_n(data_.get(), size_, fresh.get());
+  data_ = std::move(fresh);
+  cap_ = cap;
+}
+
 bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
+  linked_ = &k;
+  linked_frame_ = frame;
   // Ancestor chain (depth_spaces_[0] is the statement space).
   depth_spaces_.clear();
   depth_spaces_.push_back(&space);
@@ -304,9 +314,8 @@ void Engine::classify_site(const LinkedArray& la, std::int64_t flat,
 }
 
 void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
-                      std::int64_t result_slot, Frame* frame,
-                      std::uint64_t stmt_id, Arena& arena,
-                      std::vector<Value>& results) {
+                      std::int64_t result_slot, std::uint64_t stmt_id,
+                      Arena& arena, std::vector<Value>& results) {
   Value* regs = arena.regs.data();
   const LinkedElem* elems = elems_.data();
   const LinkedScalar* scalars = scalars_.data();
@@ -376,25 +385,9 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
       }
       case Op::kStoreScalar: {
         const LinkedScalar& ls = scalars[I.a];
-        WriteTarget t;
-        switch (ls.home) {
-          case ScalarHome::kGlobal:
-            t.kind = WriteTarget::Kind::kGlobal;
-            t.index = ls.slot;
-            break;
-          case ScalarHome::kFrame:
-            t.kind = WriteTarget::Kind::kFrame;
-            t.obj = frame;
-            t.index = ls.slot;
-            break;
-          case ScalarHome::kLaneLocal:
-            t.kind = WriteTarget::Kind::kLaneLocal;
-            t.obj = ls.owner;
-            t.index = ls.slot;
-            t.lane = lanes[ls.depth];
-            break;
-        }
-        arena.writes.push_back(Write{t, regs[I.b], I.where});
+        arena.writes.push_back(WriteRec::of(
+            ip, ls.home == ScalarHome::kLaneLocal ? lanes[ls.depth] : 0,
+            regs[I.b]));
         break;
       }
       case Op::kArrIndex: {
@@ -461,25 +454,16 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         // suppress/frontend classification short-circuit.
         if (arrays[I.a].arr->replicated()) ++stats_cur->broadcast;
         break;
-      case Op::kArrStore: {
-        WriteTarget t;
-        t.kind = WriteTarget::Kind::kArray;
-        t.obj = arrays[I.a].arr;
-        t.index = regs[I.b].i;
-        arena.writes.push_back(Write{t, regs[I.c], I.where});
+      case Op::kArrStore:
+        arena.writes.push_back(WriteRec::of(ip, regs[I.b].i, regs[I.c]));
         break;
-      }
       case Op::kArrPut: {
         // Fused kClassify (+ kBroadcastCheck when arg bit0) + kArrStore.
         const LinkedArray& la = arrays[I.a];
         const std::int64_t flat = regs[I.b].i;
         classify_site(la, flat, lane_vp, lane_coords, rs, *stats_cur);
         if ((I.arg & 1) != 0 && la.arr->replicated()) ++stats_cur->broadcast;
-        WriteTarget t;
-        t.kind = WriteTarget::Kind::kArray;
-        t.obj = la.arr;
-        t.index = flat;
-        arena.writes.push_back(Write{t, regs[I.c], I.where});
+        arena.writes.push_back(WriteRec::of(ip, flat, regs[I.c]));
         break;
       }
       case Op::kUnary: {
@@ -720,14 +704,14 @@ void Engine::reset_arenas(const Kernel& k) {
 
 void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
                               const std::vector<std::int64_t>& active,
-                              Frame* frame, std::uint64_t stmt_id,
+                              std::uint64_t stmt_id,
                               std::vector<Value>& results) {
   // Native tier: both the plain try_run path and fused groups funnel
   // through here, so one hook covers every dispatch.  A false return
   // (emitter declined, toolchain missing, assumption mismatch, runtime
   // error flagged) leaves the arenas reset and falls through to bytecode.
   if (vm_.opts.engine == ExecEngine::kNative &&
-      run_lanes_native(k, space, active, frame, stmt_id, results)) {
+      run_lanes_native(k, space, active, stmt_id, results)) {
     return;
   }
   const auto n = static_cast<std::int64_t>(active.size());
@@ -736,8 +720,8 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
         Arena& arena = arenas_[worker];
         const auto span_start = static_cast<std::uint32_t>(arena.writes.size());
         for (std::int64_t kk = b; kk < e; ++kk) {
-          run_lane(k, space, active[static_cast<std::size_t>(kk)], kk, frame,
-                   stmt_id, arena, results);
+          run_lane(k, space, active[static_cast<std::size_t>(kk)], kk, stmt_id,
+                   arena, results);
         }
         const auto count =
             static_cast<std::uint32_t>(arena.writes.size()) - span_start;
@@ -764,18 +748,85 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
   vm_.machine.pool().parallel_for_indexed(0, n, body, /*min_grain=*/64);
 }
 
+Write Engine::decode(const WriteRec& r) const {
+  const Inst& I = linked_->code[r.ip];
+  Write w;
+  w.value = r.value();
+  w.where = I.where;
+  if (I.op != Op::kStoreScalar) {
+    w.target.kind = WriteTarget::Kind::kArray;
+    w.target.obj = arrays_[I.a].arr;
+    w.target.index = r.index;
+    return w;
+  }
+  const LinkedScalar& ls = scalars_[I.a];
+  w.target.index = ls.slot;
+  switch (ls.home) {
+    case ScalarHome::kGlobal:
+      w.target.kind = WriteTarget::Kind::kGlobal;
+      break;
+    case ScalarHome::kFrame:
+      w.target.kind = WriteTarget::Kind::kFrame;
+      w.target.obj = linked_frame_;
+      break;
+    case ScalarHome::kLaneLocal:
+      w.target.kind = WriteTarget::Kind::kLaneLocal;
+      w.target.obj = ls.owner;
+      w.target.lane = r.index;
+      break;
+  }
+  return w;
+}
+
+void Engine::apply(const WriteRec* first, const WriteRec* last) {
+  // Locals, not members: the defined-flag stores below are byte stores,
+  // which may alias anything, so members would be reloaded per record.
+  const Inst* code = linked_->code.data();
+  const ArraySink* sinks = sinks_.data();
+  for (const WriteRec* r = first; r != last; ++r) {
+    const Inst& I = code[r->ip];
+    if (I.op == Op::kStoreScalar) {
+      const Write w = decode(*r);
+      vm_.apply_write(w.target, w.value);
+      continue;
+    }
+    // ArrayObj::store over the resolved sink: the same range check as
+    // Field::set, and a coercion only when the representations differ.
+    const ArraySink& s = sinks[I.a];
+    const std::int64_t at = s.offset + r->index;
+    if (at < 0 || at >= s.size) s.field->set(at, 0);  // throws its error
+    cm::Bits bits = r->bits;
+    if ((r->flt != 0) != s.flt) {
+      bits = r->value()
+                 .coerce(s.flt ? lang::ScalarKind::kFloat
+                               : lang::ScalarKind::kInt)
+                 .to_bits();
+    }
+    s.data[at] = bits;
+    s.defined[at] = 1;
+  }
+}
+
 void Engine::commit_buffered() {
   std::size_t total_writes = 0;
   for (const auto& a : arenas_) total_writes += a.writes.size();
   if (total_writes == 0) return;
+  // Translate each linked array once per commit, not once per write.
+  sinks_.resize(arrays_.size());
+  for (std::size_t i = 0; i < arrays_.size(); ++i) {
+    const ArrayObj& arr = *arrays_[i].arr;
+    cm::Field& field = arr.field();
+    sinks_[i] = ArraySink{field.raw().data(), field.defined_raw().data(),
+                          &field, arr.slice_offset(), field.size(),
+                          arr.is_float()};
+  }
   if (commit_proven_) {
     // Proven lane-injective (docs/VM.md "Commit"): no two writes share a
     // target, so no conflict can arise and arena order is as good as
     // lane order.
     ++vm_.commits_proven;
-    for (const auto& a : arenas_) {
-      for (const Write& wr : a.writes) vm_.apply_write(wr.target, wr.value);
-    }
+    vm_.writes_proven += total_writes;
+    for (const auto& a : arenas_) apply(a.writes.begin(), a.writes.end());
     return;
   }
   // Chunks are disjoint ascending lane ranges, so sorting the spans by
@@ -792,14 +843,12 @@ void Engine::commit_buffered() {
   vm_.commit_begin(total_writes);
   for (const auto& [span, arena] : span_order_) {
     for (std::uint32_t w = 0; w < span->count; ++w) {
-      vm_.commit_check(arena->writes[span->offset + w]);
+      vm_.commit_check(decode(arena->writes[span->offset + w]));
     }
   }
   for (const auto& [span, arena] : span_order_) {
-    for (std::uint32_t w = 0; w < span->count; ++w) {
-      const Write& wr = arena->writes[span->offset + w];
-      vm_.apply_write(wr.target, wr.value);
-    }
+    const WriteRec* first = arena->writes.begin() + span->offset;
+    apply(first, first + span->count);
   }
 }
 
@@ -821,7 +870,7 @@ std::optional<std::vector<Value>> Engine::try_run(
 
   std::vector<Value> results(active.size());
   reset_arenas(*kern);
-  run_lanes_pooled(*kern, space, active, frame, stmt_id, results);
+  run_lanes_pooled(*kern, space, active, stmt_id, results);
 
   AccessStats total;
   for (const auto& a : arenas_) total.merge(a.stats[0]);
@@ -843,7 +892,7 @@ bool Engine::prepare_group(const Expr* const* stmts, std::size_t n,
 }
 
 void Engine::run_group(LaneSpace& space,
-                       const std::vector<std::int64_t>& active, Frame* frame,
+                       const std::vector<std::int64_t>& active,
                        std::uint64_t first_stmt_id,
                        std::vector<AccessStats>& member_stats) {
   const Kernel& kern = *group_kernel_;
@@ -851,7 +900,7 @@ void Engine::run_group(LaneSpace& space,
   ++fused_groups_;
   std::vector<Value> results(active.size());
   reset_arenas(kern);
-  run_lanes_pooled(kern, space, active, frame, first_stmt_id, results);
+  run_lanes_pooled(kern, space, active, first_stmt_id, results);
   member_stats.assign(kern.num_members, AccessStats{});
   for (const auto& a : arenas_) {
     for (std::uint32_t m = 0; m < kern.num_members; ++m) {

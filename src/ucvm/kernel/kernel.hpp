@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -46,10 +47,12 @@ class Engine {
   //      collecting per-member comm stats; charges nothing itself.
   //   3. commit_group: conflict-check and apply the buffered writes in
   //      lane order, exactly like an unfused statement's commit.
+  // The buffered records name their targets through the link state, so
+  // nothing may link another kernel between steps 1 and 3.
   bool prepare_group(const Expr* const* stmts, std::size_t n,
                      LaneSpace& space, Frame* frame);
   void run_group(LaneSpace& space, const std::vector<std::int64_t>& active,
-                 Frame* frame, std::uint64_t first_stmt_id,
+                 std::uint64_t first_stmt_id,
                  std::vector<AccessStats>& member_stats);
   void commit_group();
 
@@ -138,9 +141,38 @@ class Engine {
     std::uint32_t offset = 0;  // into Arena::writes
     std::uint32_t count = 0;
   };
+  // Append buffer of write records.  Its reserved tail is never
+  // initialised: a native kernel writes a chunk's records straight into
+  // it, so reserving the chunk's worst case (max_writes_per_lane x lanes)
+  // costs nothing per record, and growth copies only the used prefix.
+  class WriteBuf {
+   public:
+    std::size_t size() const { return size_; }
+    const WriteRec* begin() const { return data_.get(); }
+    const WriteRec* end() const { return data_.get() + size_; }
+    const WriteRec& operator[](std::size_t i) const { return data_[i]; }
+    void clear() { size_ = 0; }
+    void push_back(const WriteRec& r) {
+      if (size_ == cap_) grow(size_ + 1);
+      data_[size_++] = r;
+    }
+    // Room for `n` more records; the caller writes some prefix of them and
+    // then appends that many with append_reserved.
+    WriteRec* reserve_tail(std::size_t n) {
+      if (cap_ - size_ < n) grow(size_ + n);
+      return data_.get() + size_;
+    }
+    void append_reserved(std::size_t n) { size_ += n; }
+
+   private:
+    void grow(std::size_t need);
+    std::unique_ptr<WriteRec[]> data_;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
+  };
   struct Arena {
     std::vector<Value> regs;
-    std::vector<Write> writes;
+    WriteBuf writes;
     std::vector<ChunkSpan> spans;
     // One slot per kernel member (plain statements use slot 0); fused
     // kernels switch slots at kMemberBoundary so the driver can charge
@@ -149,12 +181,17 @@ class Engine {
     // Reused across lanes: kReduceBegin reinitialises every field that is
     // read afterwards, so stale state from a previous lane is never seen.
     ReduceState rs;
-    // Native-tier write staging: the compiled entry point fills this
-    // high-water-sized buffer and only the used prefix is copied into
-    // `writes`, so the per-dispatch cost tracks actual writes instead of
-    // the worst-case capacity (a resize of `writes` itself would
-    // zero-fill the whole worst case every statement).
-    std::vector<Write> native_scratch;
+  };
+  // A linked array's storage, resolved once per commit so records apply
+  // straight into the field: data and defined flags of its storage root,
+  // shifted by the view's slice offset.
+  struct ArraySink {
+    cm::Bits* data = nullptr;
+    std::uint8_t* defined = nullptr;
+    cm::Field* field = nullptr;  // raises the range error on a bad index
+    std::int64_t offset = 0;     // slice_offset()
+    std::int64_t size = 0;       // the field's element count
+    bool flt = false;
   };
 
   // Deepest ancestor-space chain a kernel may reference.
@@ -166,7 +203,7 @@ class Engine {
   bool commit_provable(const Kernel& k, const LaneSpace& space);
   void reset_arenas(const Kernel& k);
   void run_lanes_pooled(const Kernel& k, LaneSpace& space,
-                        const std::vector<std::int64_t>& active, Frame* frame,
+                        const std::vector<std::int64_t>& active,
                         std::uint64_t stmt_id, std::vector<Value>& results);
   // Native-tier dispatch (native_exec.cpp): prepares the kernel through the
   // backend, validates the emit-time representation assumptions against the
@@ -177,12 +214,18 @@ class Engine {
   // runtime error that the deterministic bytecode rerun will re-raise with
   // its full message.
   bool run_lanes_native(const Kernel& k, LaneSpace& space,
-                        const std::vector<std::int64_t>& active, Frame* frame,
+                        const std::vector<std::int64_t>& active,
                         std::uint64_t stmt_id, std::vector<Value>& results);
+  // Applies the arenas' records: straight into the resolved fields when
+  // the commit is proven, else conflict-checked in lane order first.
   void commit_buffered();
+  // The Write a record stands for, through the link state of the kernel
+  // that buffered it.
+  Write decode(const WriteRec& r) const;
+  void apply(const WriteRec* first, const WriteRec* last);
   void run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
-                std::int64_t result_slot, Frame* frame, std::uint64_t stmt_id,
-                Arena& arena, std::vector<Value>& results);
+                std::int64_t result_slot, std::uint64_t stmt_id, Arena& arena,
+                std::vector<Value>& results);
   void classify_site(const LinkedArray& la, std::int64_t flat,
                      std::int64_t lane_vp, const std::int64_t* lane_coords,
                      const ReduceState& rs, AccessStats& stats) const;
@@ -190,7 +233,10 @@ class Engine {
   Impl& vm_;
   KernelCache& kernels_;
   const Kernel* group_kernel_ = nullptr;  // linked by prepare_group
-  // Link state, valid for the duration of one try_run call.
+  // Link state, valid for the duration of one try_run call: the kernel and
+  // frame it was linked against, and its resolved operands.
+  const Kernel* linked_ = nullptr;
+  Frame* linked_frame_ = nullptr;
   std::vector<LinkedElem> elems_;
   std::vector<LinkedScalar> scalars_;
   std::vector<LinkedArray> arrays_;
@@ -202,6 +248,7 @@ class Engine {
   bool commit_proven_ = false;
   bool storage_aliased_ = false;  // two array symbols share storage
   std::vector<const Symbol*> chain_elems_;  // reused by commit_provable
+  std::vector<ArraySink> sinks_;  // per linked array, set by commit_buffered
   std::vector<Arena> arenas_;
   std::vector<std::pair<const ChunkSpan*, Arena*>> span_order_;
   std::uint64_t compiled_statements_ = 0;

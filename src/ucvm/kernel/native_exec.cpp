@@ -11,7 +11,7 @@ namespace uc::vm::detail::kernel {
 
 bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
                               const std::vector<std::int64_t>& active,
-                              Frame* frame, std::uint64_t stmt_id,
+                              std::uint64_t stmt_id,
                               std::vector<Value>& results) {
   // The frontend space shares one RNG stream across its single lane and
   // the emitted kernels only model the per-lane streams; frontend
@@ -90,7 +90,6 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
       case ScalarHome::kLaneLocal:
         ns.home = 2;
         ns.store = ls.store->data();
-        ns.owner = ls.owner;
         break;
     }
   }
@@ -103,7 +102,6 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     na.vp_coords = la.vp_coords;
     na.adims = la.adims;
     na.astrides = la.astrides;
-    na.obj = la.arr;
     na.rank = la.rank;
     na.mode = static_cast<std::uint8_t>(la.mode);
     na.geom_matches = la.geom_matches ? 1 : 0;
@@ -136,14 +134,6 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
   auto body = [&](unsigned worker, std::int64_t b, std::int64_t e) {
     Arena& arena = arenas_[worker];
     const auto span_start = arena.writes.size();
-    // Stage writes into the high-water scratch buffer: growing it
-    // zero-fills once, after which dispatches only pay for the writes
-    // they actually produce.
-    const auto scratch_need =
-        static_cast<std::size_t>(e - b) * prep->max_writes_per_lane;
-    if (arena.native_scratch.size() < scratch_need) {
-      arena.native_scratch.resize(scratch_need);
-    }
     native::NativeArgs args;
     args.k_begin = b;
     args.k_end = e;
@@ -158,10 +148,10 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     args.arrays = narrays_.data();
     args.reduces = nreduces_.data();
     args.results = results.data();
-    args.writes = arena.native_scratch.data();
+    // The kernel writes its records in place after the arena's last one.
+    args.writes = arena.writes.reserve_tail(static_cast<std::size_t>(e - b) *
+                                            prep->max_writes_per_lane);
     args.stats = arena.stats.data();
-    args.wheres = reinterpret_cast<const void* const*>(prep->wheres.data());
-    args.frame = frame;
     args.stmt_id = stmt_id;
     args.base_seed = vm_.base_seed;
     args.news_op = cost.news_op;
@@ -172,10 +162,8 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
       return;
     }
     if (args.writes_count > 0) {
-      arena.writes.insert(
-          arena.writes.end(), arena.native_scratch.begin(),
-          arena.native_scratch.begin() +
-              static_cast<std::ptrdiff_t>(args.writes_count));
+      arena.writes.append_reserved(
+          static_cast<std::size_t>(args.writes_count));
       arena.spans.push_back(
           ChunkSpan{b, static_cast<std::uint32_t>(span_start),
                     static_cast<std::uint32_t>(args.writes_count)});

@@ -12,12 +12,14 @@
 // table indices).  The same .so therefore stays valid across executions,
 // processes and mappings, which is what makes the on-disk cache sound.
 //
-// The emitted source defines byte-identical mirrors of Value, Write and
+// The emitted source defines byte-identical mirrors of Value, WriteRec and
 // AccessStats and static_asserts their sizes/offsets against numbers the
 // emitter measured in the host process; a layout drift fails the emitted
 // compile instead of corrupting memory.  NativeInfo carries the ABI
 // version and the source hash so a stale or foreign cache entry is
-// detected before the first call.
+// detected before the first call.  Besides data, no process pointer
+// crosses the ABI: a write record names its target and error site by the
+// store instruction's position, which the host resolves at commit.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,7 @@
 namespace uc::vm::detail::native {
 
 // Bump whenever NativeArgs / the mirrored host structs change shape.
-inline constexpr std::uint32_t kAbiVersion = 1;
+inline constexpr std::uint32_t kAbiVersion = 2;
 
 // Mirror of kernel::Engine's LinkedElem (resolved per execution).
 struct NElem {
@@ -43,7 +45,6 @@ struct NScalar {
   std::int64_t i = 0;               // snapshot, int representation
   double f = 0.0;                   // snapshot, float representation
   const void* store = nullptr;      // lane-local: Value* backing store
-  void* owner = nullptr;            // lane-local: owning LaneSpace*
   std::int64_t slot = 0;
   std::int32_t depth = 0;
   std::uint8_t home = 0;            // 0 global / 1 frame / 2 lane-local
@@ -56,7 +57,6 @@ struct NArray {
   const std::int64_t* vp_coords = nullptr;  // geom_matches: coord table
   const std::int64_t* adims = nullptr;
   const std::int64_t* astrides = nullptr;
-  void* obj = nullptr;  // ArrayObj*, for WriteTarget records
   std::int64_t rank = 0;
   std::uint8_t mode = 0;  // 0 frontend / 1 local-replicated / 2 remote
   std::uint8_t geom_matches = 0;
@@ -95,16 +95,12 @@ struct NativeArgs {
   const NReduce* reduces = nullptr;
 
   // Outputs.  results is the host's Value array indexed by position kk;
-  // writes is the worker arena's Write storage starting at this chunk's
-  // span, pre-sized to max_writes_per_lane * (k_end - k_begin).
+  // writes is the worker arena's WriteRec buffer at this chunk's span,
+  // reserved (not initialised) for max_writes_per_lane * (k_end - k_begin).
   void* results = nullptr;
   void* writes = nullptr;
-  std::int64_t writes_count = 0;  // out: records actually appended
+  std::int64_t writes_count = 0;  // out: records actually written
   void* stats = nullptr;          // AccessStats[num_members]
-
-  // Error-site table: Inst::where pointers, indexed by emit-time constant.
-  const void* const* wheres = nullptr;
-  void* frame = nullptr;  // for kFrame write targets
 
   std::uint64_t stmt_id = 0;
   std::uint64_t base_seed = 0;

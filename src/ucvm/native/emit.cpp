@@ -303,10 +303,6 @@ class Emitter {
   std::string truthy(std::uint16_t r) const {
     return R(r) + (rt_[r] == kFloat ? " != 0.0" : " != 0");
   }
-  std::size_t where_index(const lang::Expr* w) {
-    out_.wheres.push_back(w);
-    return out_.wheres.size() - 1;
-  }
   void classify_call(std::uint16_t site, const std::string& flat) {
     const std::int32_t red = k_.arrays[site].reduce;
     if (red >= 0) {
@@ -321,14 +317,16 @@ class Emitter {
               flat.c_str());
     }
   }
-  void emit_value_store(const char* dst, std::uint16_t reg) {
-    if (rt_[reg] == kFloat) {
-      appendf(src_, "      %s.flt = true; %s.i = 0; %s.f = %s;\n", dst, dst,
-              dst, R(reg).c_str());
-    } else {
-      appendf(src_, "      %s.flt = false; %s.i = %s; %s.f = 0.0;\n", dst,
-              dst, R(reg).c_str(), dst);
-    }
+  // One WriteRec, in place at the chunk's next record: what run_lane's
+  // WriteRec::of builds for the store at `ip`.
+  void emit_write(std::size_t ip, const std::string& index,
+                  std::uint16_t reg) {
+    const bool flt = rt_[reg] == kFloat;
+    appendf(src_,
+            "      NWrite& w = WQ[wn++];\n"
+            "      w.index = %s; w.bits = %s(%s); w.ip = %zuu; w.flt = %du;\n",
+            index.c_str(), flt ? "uc_f_bits" : "(u64)", R(reg).c_str(), ip,
+            flt ? 1 : 0);
   }
   void emit_bounds(std::uint16_t site, std::uint16_t base, std::uint16_t n) {
     appendf(src_, "      i64 flat = (%u == a_.rank) ? 0 : (i64)-1;\n",
@@ -355,9 +353,7 @@ class Emitter {
         "static_assert(sizeof(i64) == 8 && sizeof(double) == 8 && "
         "sizeof(void*) == 8, \"uc native: unsupported host ABI\");\n"
         "struct NVal { bool flt; i64 i; double f; };\n"
-        "struct NTarget { unsigned char kind; void* obj; i64 index; i64 lane;"
-        " };\n"
-        "struct NWrite { NTarget target; NVal value; const void* where; };\n"
+        "struct NWrite { i64 index; u64 bits; unsigned ip; unsigned flt; };\n"
         "struct NStats { u64 local, news, news_max_hops, router, frontend,"
         " broadcast; };\n";
     // Layout proofs against the host process that emitted this file.
@@ -368,25 +364,20 @@ class Emitter {
             sizeof(Value), offsetof(Value, i), offsetof(Value, f));
     appendf(src_,
             "static_assert(sizeof(NWrite) == %zu && "
-            "__builtin_offsetof(NWrite, value) == %zu && "
-            "__builtin_offsetof(NWrite, where) == %zu, \"Write layout\");\n",
-            sizeof(Write), offsetof(Write, value), offsetof(Write, where));
-    appendf(src_,
-            "static_assert(__builtin_offsetof(NTarget, obj) == %zu && "
-            "__builtin_offsetof(NTarget, index) == %zu && "
-            "__builtin_offsetof(NTarget, lane) == %zu, \"target layout\");\n",
-            offsetof(WriteTarget, obj), offsetof(WriteTarget, index),
-            offsetof(WriteTarget, lane));
+            "__builtin_offsetof(NWrite, bits) == %zu && "
+            "__builtin_offsetof(NWrite, ip) == %zu && "
+            "__builtin_offsetof(NWrite, flt) == %zu, \"WriteRec layout\");\n",
+            sizeof(WriteRec), offsetof(WriteRec, bits), offsetof(WriteRec, ip),
+            offsetof(WriteRec, flt));
     appendf(src_, "static_assert(sizeof(NStats) == %zu, \"stats layout\");\n",
             sizeof(AccessStats));
     src_ +=
         "struct NElem { const i64* vals; i64 k; i64 width; int depth; };\n"
-        "struct NScalar { i64 i; double f; const void* store; void* owner;\n"
+        "struct NScalar { i64 i; double f; const void* store;\n"
         "  i64 slot; int depth; unsigned char home; };\n"
         "struct NArray { const u64* data; const i64* owners;\n"
         "  const i64* vp_coords; const i64* adims; const i64* astrides;\n"
-        "  void* obj; i64 rank; unsigned char mode; unsigned char "
-        "geom_matches;\n"
+        "  i64 rank; unsigned char mode; unsigned char geom_matches;\n"
         "  unsigned char slice; unsigned char replicated; };\n"
         "struct NReduce { const i64* values[4]; i64 sizes[4]; i64 prod;\n"
         "  i64 base_dims; unsigned char suppress; };\n"
@@ -397,7 +388,6 @@ class Emitter {
         "  const NElem* elems; const NScalar* scalars;\n"
         "  const NArray* arrays; const NReduce* reduces;\n"
         "  void* results; void* writes; i64 writes_count; void* stats;\n"
-        "  const void* const* wheres; void* frame;\n"
         "  u64 stmt_id, base_seed, news_op, router_op;\n"
         "  i64 error;\n"
         "};\n";
@@ -412,6 +402,8 @@ class Emitter {
         "{ double d; __builtin_memcpy(&d, &b, 8); return d; }\n"
         "static inline i64 uc_bits_i(u64 b) "
         "{ i64 v; __builtin_memcpy(&v, &b, 8); return v; }\n"
+        "static inline u64 uc_f_bits(double d) "
+        "{ u64 b; __builtin_memcpy(&b, &d, 8); return b; }\n"
         "static inline u64 uc_sm64(u64& s) {\n"
         "  u64 z = (s += 0x9e3779b97f4a7c15ull);\n"
         "  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;\n"
@@ -555,21 +547,10 @@ class Emitter {
                   R(I.dst).c_str());
         }
         break;
-      case Op::kStoreScalar: {
-        const std::size_t widx = where_index(I.where);
-        appendf(src_,
-                "      const NScalar& ls = A->scalars[%u];\n"
-                "      NWrite& w = WQ[wn++];\n"
-                "      w.target.kind = (unsigned char)(ls.home + 1);\n"
-                "      w.target.obj = ls.home == 0 ? (void*)0\n"
-                "          : (ls.home == 1 ? A->frame : ls.owner);\n"
-                "      w.target.index = ls.slot;\n"
-                "      w.target.lane = ls.home == 2 ? L[ls.depth] : 0;\n",
-                I.a);
-        emit_value_store("w.value", I.b);
-        appendf(src_, "      w.where = A->wheres[%zu];\n", widx);
+      case Op::kStoreScalar:
+        appendf(src_, "      const NScalar& ls = A->scalars[%u];\n", I.a);
+        emit_write(ip, "ls.home == 2 ? L[ls.depth] : 0", I.b);
         break;
-      }
       case Op::kArrIndex:
         appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
         emit_bounds(I.a, I.b, I.c);
@@ -597,34 +578,17 @@ class Emitter {
                 "      if (A->arrays[%u].replicated) ++st->broadcast;\n",
                 I.a);
         break;
-      case Op::kArrStore: {
-        const std::size_t widx = where_index(I.where);
-        appendf(src_,
-                "      const NArray& a_ = A->arrays[%u];\n"
-                "      NWrite& w = WQ[wn++];\n"
-                "      w.target.kind = 0; w.target.obj = a_.obj;\n"
-                "      w.target.index = %s; w.target.lane = 0;\n",
-                I.a, R(I.b).c_str());
-        emit_value_store("w.value", I.c);
-        appendf(src_, "      w.where = A->wheres[%zu];\n", widx);
+      case Op::kArrStore:
+        emit_write(ip, R(I.b), I.c);
         break;
-      }
-      case Op::kArrPut: {
-        const std::size_t widx = where_index(I.where);
+      case Op::kArrPut:
         appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
         classify_call(I.a, R(I.b));
         if ((I.arg & 1) != 0) {
           src_ += "      if (a_.replicated) ++st->broadcast;\n";
         }
-        appendf(src_,
-                "      NWrite& w = WQ[wn++];\n"
-                "      w.target.kind = 0; w.target.obj = a_.obj;\n"
-                "      w.target.index = %s; w.target.lane = 0;\n",
-                R(I.b).c_str());
-        emit_value_store("w.value", I.c);
-        appendf(src_, "      w.where = A->wheres[%zu];\n", widx);
+        emit_write(ip, R(I.b), I.c);
         break;
-      }
       case Op::kUnary:
         switch (static_cast<UnaryOp>(I.arg)) {
           case UnaryOp::kNeg:

@@ -70,6 +70,35 @@ TEST(UccCli, StatsFlagPrintsEngineCounters) {
       << walk.output;
 }
 
+// The per-path write counts lead the engine line and follow the commit
+// counts in `ucc profile --json`: fig8 buffers 934 writes, all applied
+// under the proof by default and all conflict-checked on the walk.
+TEST(UccCli, StatsAndProfileCountWritesByCommitPath) {
+  const std::string fig8 = program("fig8_grid_obstacle.uc");
+  auto r = run_command(ucc() + " run " + fig8 + " --stats");
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.output.find("\nwrites_proven=934 writes_checked=0 "
+                          "native_kernels_compiled="),
+            std::string::npos)
+      << r.output;
+  auto walk = run_command(ucc() + " run " + fig8 + " --stats --engine=walk");
+  EXPECT_EQ(walk.exit_code, 0);
+  EXPECT_NE(walk.output.find("\nwrites_proven=0 writes_checked=934 "),
+            std::string::npos)
+      << walk.output;
+  const std::string json = "/tmp/ucc_cli_write_counts.json";
+  auto prof = run_command(ucc() + " profile " + fig8 + " --json=" + json);
+  EXPECT_EQ(prof.exit_code, 0) << prof.output;
+  std::ifstream in(json);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("\"commits_checked\": 0, \"writes_proven\": 934, "
+                           "\"writes_checked\": 0, "),
+            std::string::npos)
+      << buf.str();
+  run_command("rm -f " + json);
+}
+
 // The native counters on the engine line and in `ucc profile --json`: a
 // run into an empty .so cache compiles fig8's five kernels, the next
 // process loads them all from disk, and both dispatch every compiled

@@ -79,7 +79,10 @@ run_fused_smoke() {
 # Commit-proof smoke (docs/VM.md "Commit"): on the paper workloads the
 # default tier must commit under the lane-injectivity proof (the --stats
 # engine line reports commits_proven>0), and the output must stay
-# byte-identical to the walk, which conflict-checks every commit.
+# byte-identical to the walk, which conflict-checks every commit.  The
+# native tier, whose kernels write their records in place, must match the
+# walk too and apply as many proven writes as the default tier; a host
+# without a working toolchain skips that half with a notice.
 run_commit_proof_smoke() {
   local dir="$1"
   local ucc="$dir/tools/ucc"
@@ -95,6 +98,22 @@ run_commit_proof_smoke() {
     proven="$(sed -n 's/.*commits_proven=\([0-9]*\).*/\1/p' "$tmp/stats.txt")"
     [ -n "$proven" ] && [ "$proven" -gt 0 ] || {
       echo "ci.sh: $prog committed nothing under the proof" >&2; exit 1; }
+    "$ucc" run "$src" --engine=native --native-cache-dir="$tmp/native" \
+        --stats >"$tmp/native.txt" 2>"$tmp/native_stats.txt"
+    if grep -q "native_dispatches=0 " "$tmp/native_stats.txt"; then
+      echo "ci.sh: NOTICE: no working native toolchain on this host;" \
+           "skipping the native commit check for $prog" >&2
+      continue
+    fi
+    cmp "$tmp/walk.txt" "$tmp/native.txt" || {
+      echo "ci.sh: native records changed the output of $prog" >&2; exit 1; }
+    local writes native_writes
+    writes="$(sed -n 's/^writes_proven=\([0-9]*\) .*/\1/p' "$tmp/stats.txt")"
+    native_writes="$(sed -n 's/^writes_proven=\([0-9]*\) .*/\1/p' \
+        "$tmp/native_stats.txt")"
+    [ -n "$writes" ] && [ "$writes" = "$native_writes" ] || {
+      echo "ci.sh: $prog: native applied ${native_writes:-?} proven writes," \
+           "the default tier ${writes:-?}" >&2; exit 1; }
   done
   rm -rf "$tmp"
 }
@@ -167,7 +186,7 @@ run_asan() {
   # bytecode (byte-identical output and modeled cycles) vs bytecode-fused
   # (byte-identical output, cycles never above unfused).
   "$root/build-asan/tests/ucvm/test_ucvm" \
-      --gtest_filter='EngineParity*:ShardParity*:CommitProof*'
+      --gtest_filter='EngineParity*:ShardParity*:CommitProof*:WriteRecord*'
   # Kernels and loaded native objects reused across the runs of one
   # Program, then unloaded with it.
   "$root/build-asan/tests/uc/test_uc_api" --gtest_filter='ProgramReuse*'
@@ -194,7 +213,7 @@ run_tsan() {
   "$root/build-tsan/tests/cm/test_cm" \
       --gtest_filter='ThreadPool*:Threads/*:PoolShards*:Shard*:ShiftExchange*:MachineShards*:Machine*:Ops*'
   "$root/build-tsan/tests/ucvm/test_ucvm" \
-      --gtest_filter='ShardParity*:EngineParity*:CommitProof*'
+      --gtest_filter='ShardParity*:EngineParity*:CommitProof*:WriteRecord*'
   "$root/build-tsan/tests/uc/test_uc_api" --gtest_filter='ProgramReuse*'
 }
 

@@ -169,15 +169,19 @@ bool write_file(const std::string& path, const std::string& content) {
   return static_cast<bool>(out);
 }
 
-// Second --stats line: what the native tier cost and did this run, which
-// tier ran the statements, and how their writes were committed (docs/VM.md
-// "Native tier", "Commit").
+// Second --stats line: how many writes were committed on each path, what
+// the native tier cost and did this run, which tier ran the statements,
+// and how their commits went (docs/VM.md "Native tier", "Commit").  The
+// write counts lead the line so commits_checked stays its last field.
 void print_engine_stats(const uc::vm::RunResult& r) {
   std::fprintf(stderr,
+               "writes_proven=%llu writes_checked=%llu "
                "native_kernels_compiled=%llu native_cache_hits=%llu "
                "native_dispatches=%llu native_fallbacks=%llu "
                "bytecode_stmts=%llu walk_fallback_stmts=%llu "
                "commits_proven=%llu commits_checked=%llu\n",
+               static_cast<unsigned long long>(r.writes_proven()),
+               static_cast<unsigned long long>(r.writes_checked()),
                static_cast<unsigned long long>(r.native_kernels_compiled()),
                static_cast<unsigned long long>(r.native_cache_hits()),
                static_cast<unsigned long long>(r.native_dispatches()),
