@@ -11,8 +11,6 @@
 #include "uc/uc.hpp"
 #include "uclang/lexer.hpp"
 #include "uclang/parser.hpp"
-#include "xform/const_fold.hpp"
-#include "xform/solve_lower.hpp"
 
 namespace {
 
@@ -65,10 +63,8 @@ BENCHMARK(BM_FullFrontEnd);
 
 void BM_CompileWithPasses(benchmark::State& state) {
   const auto src = uc::papers::wavefront(16);
-  uc::CompileOptions opts;
-  opts.lower_solve = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(uc::Program::compile("bench.uc", src, opts));
+    benchmark::DoNotOptimize(uc::Program::compile("bench.uc", src));
   }
 }
 BENCHMARK(BM_CompileWithPasses);

@@ -1,13 +1,11 @@
 // Experiment E6 — §3.6: "the use of *par is more efficient than *solve as
-// the programmer need not save redundant intermediate states".  Three
+// the programmer need not save redundant intermediate states".  Two
 // expressions of all-pairs shortest path: the hand-refined seq/par
-// program, the declarative *solve, and the compiler's source-level
-// lowering of a solve (wavefront) next to the VM's built-in method.
+// program and the declarative *solve.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
 #include "support/str.hpp"
-#include "uc/paper_programs.hpp"
 #include "uc/uc.hpp"
 
 namespace {
@@ -72,20 +70,6 @@ int main() {
                 agree ? "" : "DISAGREE!");
   }
 
-  bench::header(
-      "solve implementations: VM built-in vs source-level lowering "
-      "(wavefront)",
-      "     N   built-in sim(s)   lowered sim(s)");
-  for (std::int64_t n : {8, 16, 32}) {
-    auto builtin = Program::compile("w.uc", papers::wavefront(n)).run();
-    CompileOptions lower;
-    lower.lower_solve = true;
-    auto lowered =
-        Program::compile("w.uc", papers::wavefront(n), lower).run();
-    std::printf("%6lld %17.5f %15.5f\n", static_cast<long long>(n),
-                bench::sim_seconds(builtin.stats()),
-                bench::sim_seconds(lowered.stats()));
-  }
   std::printf(
       "\nshape check: *solve always costs more than the refined *par/seq "
       "form — the price of automatic fixed-point detection.\n");

@@ -1,6 +1,6 @@
 // The solve construct (paper 3.6): the wavefront recurrence written as a
-// declarative set of equations, plus a look at the compiler's general
-// lowering to a guarded *par and the separable data-mapping story.
+// declarative set of equations, plus the separable data-mapping story
+// (paper 4).
 #include <cstdio>
 
 #include "uc/paper_programs.hpp"
@@ -12,27 +12,14 @@ int main() {
   std::printf("--- UC source (declarative equations) ---\n%s\n",
               source.c_str());
 
-  // 1. Run with the VM's built-in solve.
-  auto builtin = uc::Program::compile("wave.uc", source);
-  auto rb = builtin.run();
-
-  // 2. Lower solve -> *par at the source level (what the UC compiler does,
-  //    paper 3.6) and run the lowered program.
-  uc::CompileOptions lower;
-  lower.lower_solve = true;
-  auto lowered = uc::Program::compile("wave.uc", source, lower);
-  std::printf("--- after solve lowering ---\n%s\n",
-              lowered.to_uc_source().c_str());
-  auto rl = lowered.run();
-
-  std::printf("a[7][7]: builtin=%lld lowered=%lld (must match)\n",
+  // 1. Run with the VM's built-in solve (the paper's general method,
+  //    3.6: iterate until every equation has fired).
+  auto rb = uc::Program::compile("wave.uc", source).run();
+  std::printf("a[7][7] = %lld (cycles=%llu)\n",
               static_cast<long long>(rb.global_element("a", {7, 7}).as_int()),
-              static_cast<long long>(rl.global_element("a", {7, 7}).as_int()));
-  std::printf("cycles:  builtin=%llu lowered=%llu\n",
-              static_cast<unsigned long long>(rb.stats().cycles),
-              static_cast<unsigned long long>(rl.stats().cycles));
+              static_cast<unsigned long long>(rb.stats().cycles));
 
-  // 3. Mappings are separate from logic: the same shifted-access kernel
+  // 2. Mappings are separate from logic: the same shifted-access kernel
   //    with and without its permute map section (paper 4).
   auto unmapped = uc::Program::compile(
       "shift.uc", uc::papers::shifted_sum(64, 8, false)).run();

@@ -5,6 +5,7 @@
 
 #include "cm/plan_cache.hpp"
 #include "cm/shard.hpp"
+#include "support/arith.hpp"
 #include "support/str.hpp"
 
 // Error taxonomy (docs/ROBUSTNESS.md): shape/geometry mismatches are the
@@ -359,9 +360,9 @@ Bits apply_reduce_op(ReduceOp op, ElemType type, Bits a, Bits b) {
     const std::int64_t y = as_int(b);
     switch (op) {
       case ReduceOp::kAdd:
-        return from_int(x + y);
+        return from_int(support::wrap_add(x, y));
       case ReduceOp::kMul:
-        return from_int(x * y);
+        return from_int(support::wrap_mul(x, y));
       case ReduceOp::kMax:
         return from_int(std::max(x, y));
       case ReduceOp::kMin:

@@ -234,8 +234,8 @@ class Emitter {
         return;
       case UcOp::kSolve:
         line(indent,
-             "/* solve: lowered to a guarded *par by the UC compiler "
-             "(paper 3.6) before C* emission */");
+             "/* solve: body emitted once; the fire-when-ready order of "
+             "paper 3.6 is not expressed in C* */");
         emit_parallel_block(u, dom, indent);
         return;
     }

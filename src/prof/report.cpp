@@ -8,28 +8,9 @@
 namespace uc::prof {
 
 using support::format;
+using support::json_escape;
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string engine_mark(const Site& s) {
   if (s.bytecode_stmts > 0 && s.walk_stmts > 0) return "mixed";

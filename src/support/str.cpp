@@ -83,4 +83,24 @@ std::size_t count_code_lines(std::string_view source) {
   return n;
 }
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += format("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace uc::support

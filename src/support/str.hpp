@@ -20,4 +20,7 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 // (E9 in DESIGN.md) to compare UC and C* program sizes.
 std::size_t count_code_lines(std::string_view source);
 
+// Escapes `s` for use inside a JSON string literal (quotes not included).
+std::string json_escape(const std::string& s);
+
 }  // namespace uc::support

@@ -6,8 +6,6 @@
 #include "support/error.hpp"
 #include "ucvm/kernel_cache.hpp"
 #include "xform/const_fold.hpp"
-#include "xform/map_rewrite.hpp"
-#include "xform/solve_lower.hpp"
 
 namespace uc {
 
@@ -24,18 +22,7 @@ Program Program::compile(std::string name, std::string source,
   if (!unit->ok()) {
     throw support::UcCompileError(unit->diags.render_all());
   }
-  bool changed = false;
-  if (options.fold_constants) {
-    changed |= xform::fold_constants(*unit->program) > 0;
-  }
-  if (options.rewrite_permutes) {
-    changed |=
-        xform::rewrite_affine_permutes(*unit->program).rewritten_mappings > 0;
-  }
-  if (options.lower_solve) {
-    changed |= xform::lower_solves(*unit->program).lowered > 0;
-  }
-  if (changed) {
+  if (options.fold_constants && xform::fold_constants(*unit->program) > 0) {
     lang::reanalyze(*unit);
     if (!unit->ok()) {
       throw support::UcCompileError(

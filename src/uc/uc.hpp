@@ -9,11 +9,9 @@
 //   result.stats().cycles;                        // simulated machine time
 //
 // Compilation runs the full front end (preprocess, lex, parse, sema) plus
-// the optional optimisation passes of the paper's §4 (constant folding,
-// affine permute rewriting) and the §3.6 solve lowering.  Execution runs
-// the analysed program on the simulated Connection Machine (see
-// cm::MachineOptions for machine size / seed / host threads and
-// vm::ExecOptions for optimisation toggles).
+// the paper's §4 constant folding.  Execution runs the analysed program on
+// the simulated Connection Machine (see cm::MachineOptions for machine
+// size / seed / host threads and vm::ExecOptions for optimisation toggles).
 #pragma once
 
 #include <memory>
@@ -31,13 +29,6 @@ namespace uc {
 struct CompileOptions {
   // §4 "code optimisations": fold constant subexpressions.
   bool fold_constants = true;
-  // §3.6: lower non-starred `solve` to the guarded *par form at the source
-  // level (constructs the lowering cannot express fall back to the VM's
-  // built-in solve).
-  bool lower_solve = false;
-  // §4 "communication optimisations": rewrite affine 1-D permute mappings
-  // into subscript shifts.
-  bool rewrite_permutes = false;
 };
 
 // Options for the static-analysis passes (`ucc analyze`, docs/ANALYSIS.md).

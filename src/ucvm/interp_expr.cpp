@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/arith.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 #include "ucvm/interp_detail.hpp"
@@ -43,10 +44,10 @@ Value eval_binary_op(Impl& vm, BinaryOp op, const Value& a, const Value& b,
     case BinaryOp::kDiv:
       if (flt) return Value::of_float(a.as_float() / b.as_float());
       if (b.i == 0) vm.runtime_error(&where, "integer division by zero");
-      return Value::of_int(a.i / b.i);
+      return Value::of_int(support::wrap_div(a.i, b.i));
     case BinaryOp::kMod:
       if (b.as_int() == 0) vm.runtime_error(&where, "modulo by zero");
-      return Value::of_int(a.as_int() % b.as_int());
+      return Value::of_int(support::wrap_mod(a.as_int(), b.as_int()));
     case BinaryOp::kEq:
       return Value::of_bool(flt ? a.as_float() == b.as_float() : a.i == b.i);
     case BinaryOp::kNe:

@@ -790,17 +790,19 @@ class Emitter {
           appendf(src_, "      %s = %s / %s;\n", R(I.dst).c_str(), a.c_str(),
                   b.c_str());
         } else {
+          // INT64_MIN / -1 wraps (support/arith.hpp) instead of trapping.
           appendf(src_,
                   "      if (%s == 0) goto uc_error;\n"
-                  "      %s = %s / %s;\n",
-                  R(I.b).c_str(), R(I.dst).c_str(), a.c_str(), b.c_str());
+                  "      %s = %s == -1 ? (i64)(0ull - (u64)%s) : %s / %s;\n",
+                  R(I.b).c_str(), R(I.dst).c_str(), b.c_str(), a.c_str(),
+                  a.c_str(), b.c_str());
         }
         return;
       case BinaryOp::kMod:
         appendf(src_,
                 "      const i64 bb = %s;\n"
                 "      if (bb == 0) goto uc_error;\n"
-                "      %s = %s %% bb;\n",
+                "      %s = bb == -1 ? 0 : %s %% bb;\n",
                 I64(I.b).c_str(), R(I.dst).c_str(), I64(I.a).c_str());
         return;
       case BinaryOp::kEq: d = "=="; break;

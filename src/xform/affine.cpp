@@ -1,5 +1,6 @@
 #include "xform/affine.hpp"
 
+#include "support/arith.hpp"
 #include "uclang/symbols.hpp"
 
 namespace uc::xform {
@@ -52,10 +53,6 @@ LinearForm scale(const LinearForm& a, std::int64_t k) {
 
 }  // namespace
 
-LinearForm linear_add(const LinearForm& a, const LinearForm& b) {
-  return combine(a, b, 1);
-}
-
 LinearForm linear_sub(const LinearForm& a, const LinearForm& b) {
   return combine(a, b, -1);
 }
@@ -69,11 +66,6 @@ std::int64_t LinearForm::coeff_of(const Symbol* sym) const {
     if (t.sym == sym) return t.coeff;
   }
   return 0;
-}
-
-bool LinearForm::is_unit_in(const Symbol* sym) const {
-  return exact && terms.size() == 1 && terms[0].sym == sym &&
-         terms[0].coeff == 1;
 }
 
 LinearForm linearize(const Expr& e) {
@@ -118,12 +110,12 @@ LinearForm linearize(const Expr& e) {
           return inexact();
         case BinaryOp::kDiv:
           if (l.is_constant() && r.is_constant() && r.constant != 0) {
-            return constant_form(l.constant / r.constant);
+            return constant_form(support::wrap_div(l.constant, r.constant));
           }
           return inexact();
         case BinaryOp::kMod:
           if (l.is_constant() && r.is_constant() && r.constant != 0) {
-            return constant_form(l.constant % r.constant);
+            return constant_form(support::wrap_mod(l.constant, r.constant));
           }
           return inexact();
         default:
@@ -133,12 +125,6 @@ LinearForm linearize(const Expr& e) {
     default:
       return inexact();
   }
-}
-
-std::optional<std::int64_t> affine_offset(const Expr& e, const Symbol* elem) {
-  LinearForm f = linearize(e);
-  if (f.is_unit_in(elem)) return f.constant;
-  return std::nullopt;
 }
 
 }  // namespace uc::xform

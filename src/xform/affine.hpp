@@ -1,5 +1,6 @@
 // Affine (linear + constant) views of UC subscript expressions, shared by
-// the map-rewrite transform and the static-analysis passes.
+// the static-analysis passes and the VM (write-injectivity proofs and
+// fusion dependence checks).
 //
 // A subscript like `i + 1`, `N - 1 - i` or `2*i + j` is decomposed into a
 // LinearForm: a sum of (symbol, coefficient) terms plus an integer
@@ -10,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "uclang/ast.hpp"
@@ -31,8 +31,6 @@ struct LinearForm {
   std::int64_t coeff_of(const lang::Symbol* sym) const;
   // True when the form is exact and mentions no symbol at all.
   bool is_constant() const { return exact && terms.empty(); }
-  // True when the form is exact and is `1*sym + c` for the given symbol.
-  bool is_unit_in(const lang::Symbol* sym) const;
 };
 
 // Decomposes an expression into a LinearForm.  Requires a sema'd tree
@@ -40,14 +38,7 @@ struct LinearForm {
 LinearForm linearize(const lang::Expr& e);
 
 // Arithmetic on forms (inexact operands yield inexact results).
-LinearForm linear_add(const LinearForm& a, const LinearForm& b);
 LinearForm linear_sub(const LinearForm& a, const LinearForm& b);
 LinearForm linear_scale(const LinearForm& a, std::int64_t k);
-
-// Matches `elem + c` / `elem - c` / `c + elem` / bare `elem` (after
-// folding const symbols); returns the constant offset c.  The expression
-// must reference `elem` with coefficient exactly 1 and nothing else.
-std::optional<std::int64_t> affine_offset(const lang::Expr& e,
-                                          const lang::Symbol* elem);
 
 }  // namespace uc::xform

@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "support/arith.hpp"
 #include "uclang/symbols.hpp"
 
 namespace uc::xform {
@@ -120,11 +121,13 @@ struct Folder {
             if (flt) {
               if (r->as_f() != 0.0) replace_with_float(e, l->as_f() / r->as_f());
             } else if (r->i != 0) {
-              replace_with_int(e, l->i / r->i);
+              replace_with_int(e, support::wrap_div(l->i, r->i));
             }
             return;
           case BinaryOp::kMod:
-            if (!flt && r->i != 0) replace_with_int(e, l->i % r->i);
+            if (!flt && r->i != 0) {
+              replace_with_int(e, support::wrap_mod(l->i, r->i));
+            }
             return;
           case BinaryOp::kEq:
             replace_with_int(e, l->as_f() == r->as_f() ? 1 : 0);

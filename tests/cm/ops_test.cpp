@@ -143,6 +143,23 @@ TEST_F(OpsFixture, ReduceXorInt) {
             0 ^ 1 ^ 2 ^ 3 ^ 4 ^ 5 ^ 6 ^ 7);
 }
 
+TEST_F(OpsFixture, ReduceIntWrapsOnOverflow) {
+  // Int $+ and $* wrap modulo 2^64 (two's complement), with no signed
+  // overflow.
+  auto& a = make_int_field("a");
+  a.fill(from_int(1));
+  a.set(2, from_int((std::int64_t{1} << 32) + 1));
+  a.set(5, from_int((std::int64_t{1} << 32) + 1));
+  // (2^32 + 1)^2 = 2^64 + 2^33 + 1.
+  EXPECT_EQ(as_int(reduce(m, ctx, a, ReduceOp::kMul)),
+            (std::int64_t{1} << 33) + 1);
+  a.fill(from_int(0));
+  a.set(0, from_int(std::numeric_limits<std::int64_t>::max()));
+  a.set(7, from_int(1));
+  EXPECT_EQ(as_int(reduce(m, ctx, a, ReduceOp::kAdd)),
+            std::numeric_limits<std::int64_t>::min());
+}
+
 TEST_F(OpsFixture, ScanInclusivePrefixSums) {
   auto& a = make_int_field("a");
   auto& out = make_int_field("out");

@@ -1,9 +1,8 @@
-// The public facade: compile / run / transform toggles / emission.
+// The public facade: compile / run / fold toggle / emission.
 #include "uc/uc.hpp"
 
 #include <gtest/gtest.h>
 
-#include "seqref/seqref.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 #include "uc/paper_programs.hpp"
@@ -60,34 +59,6 @@ TEST(Api, FoldConstantsToggle) {
   EXPECT_NE(plain.to_uc_source().find("x = 2 + 3;"), std::string::npos);
   EXPECT_EQ(folded.run().global_scalar("x").as_int(), 5);
   EXPECT_EQ(plain.run().global_scalar("x").as_int(), 5);
-}
-
-TEST(Api, SolveLoweringToggleProducesSameAnswers) {
-  CompileOptions lower;
-  lower.lower_solve = true;
-  auto lowered = Program::compile("w.uc", papers::wavefront(6), lower);
-  auto builtin = Program::compile("w.uc", papers::wavefront(6));
-  EXPECT_NE(lowered.to_uc_source().find("*par"), std::string::npos);
-  EXPECT_NE(builtin.to_uc_source().find("solve"), std::string::npos);
-  auto expect = seqref::wavefront(6);
-  auto rl = lowered.run();
-  auto rb = builtin.run();
-  for (int i = 0; i < 6; ++i) {
-    for (int j = 0; j < 6; ++j) {
-      EXPECT_EQ(rl.global_element("a", {i, j}).as_int(),
-                expect[static_cast<std::size_t>(i * 6 + j)]);
-      EXPECT_EQ(rb.global_element("a", {i, j}).as_int(),
-                expect[static_cast<std::size_t>(i * 6 + j)]);
-    }
-  }
-}
-
-TEST(Api, PermuteRewriteToggle) {
-  CompileOptions rewrite;
-  rewrite.rewrite_permutes = true;
-  auto program = Program::compile(
-      "m.uc", papers::shifted_sum(16, 2, /*with_map=*/true), rewrite);
-  EXPECT_EQ(program.to_uc_source().find("permute"), std::string::npos);
 }
 
 TEST(Api, CstarEmission) {

@@ -267,6 +267,73 @@ TEST(EngineParity, IncDecOnArraysAndScalars) {
       {"a"});
 }
 
+// solve shapes: a boundary assigned before the solve, targets of different
+// sizes, and a reduction that reads the target.
+TEST(EngineParity, SolveBoundaryAssignedBefore) {
+  expect_parity(
+      "index_set I:i = {1..7};\nint a[8];\n"
+      "void main() {\n"
+      "  a[0] = 5;\n"
+      "  solve (I) a[i] = a[i-1] + 2;\n"
+      "}\n",
+      {"a"});
+}
+
+TEST(EngineParity, SolveTargetsOfDifferentSizes) {
+  expect_parity(
+      "index_set I:i = {0..3};\n"
+      "int small[4], big[8];\n"
+      "void main() {\n"
+      "  solve (I) {\n"
+      "    small[i] = (i==0) ? 2 : big[i-1] + 1;\n"
+      "    big[i] = small[i] * 10;\n"
+      "  }\n"
+      "}\n",
+      {"small", "big"});
+}
+
+TEST(EngineParity, SolveReductionOverTarget) {
+  expect_parity(
+      "index_set I:i = {0..3}, J:j = I;\nint a[4];\n"
+      "void main() { solve (I) a[i] = (i==0) ? 1 : $+(J st (j<i) a[j]); }\n",
+      {"a"});
+}
+
+// INT64_MIN / -1 and INT64_MIN % -1 wrap (to INT64_MIN and 0) on every
+// engine and shard count instead of trapping: in a par body, in scalar
+// statements, and in a subscript the affine proofs evaluate.
+TEST(EngineParity, MinIntDivByMinusOneWraps) {
+  const std::string src =
+      "index_set I:i = {0..3};\n"
+      "int d[4], q[4], r[4], m, sq, sr;\n"
+      "void main() {\n"
+      "  m = -9223372036854775807 - 1;\n"
+      "  sq = m / -1;\n"
+      "  sr = m % -1;\n"
+      "  par (I) d[i] = (i == 1) ? 1 : -1;\n"
+      "  par (I) { q[i] = m / d[i]; r[i] = m % d[i]; }\n"
+      // A constant subscript term the affine proofs evaluate.
+      "  par (I) q[i + (0 - 9223372036854775807 - 1) % (0 - 1)] += 0;\n"
+      "  print(sq, sr, q[0], r[0], q[1], r[1]);\n"
+      "}\n";
+  expect_parity(src, {"q", "r"});
+  RunResult walk = run_with(src, ExecEngine::kWalk);
+  EXPECT_EQ(walk.output(),
+            "-9223372036854775808 0 -9223372036854775808 0 "
+            "-9223372036854775808 0\n");
+  cm::MachineOptions mopts;
+  mopts.host_threads = 4;
+  mopts.shards = 4;
+  ExecOptions eopts;
+  eopts.fuse = true;
+  RunResult sharded = run_uc(src, mopts, eopts);
+  EXPECT_EQ(walk.output(), sharded.output());
+  expect_stats_equal(run_with(src, ExecEngine::kBytecode, /*fuse=*/true)
+                         .stats(),
+                     sharded.stats());
+  expect_globals_equal(walk, sharded, {"q", "r"}, "walk/shards=4");
+}
+
 // --- fusion safety ---
 
 // Cross-lane RAW hazard: the second statement reads a[i+1], which the

@@ -170,6 +170,37 @@ TEST(InterpSolve, SolveWithPredicatedBlocks) {
   EXPECT_EQ(r.global_element("a", {7}).as_int(), 107);
 }
 
+TEST(InterpSolve, TargetsOfDifferentSizes) {
+  // big[8] is only partly covered by I = {0..3}; its untouched elements
+  // keep their initial zero.
+  auto r = run(
+      "index_set I:i = {0..3};\n"
+      "int small[4], big[8];\n"
+      "void main() {\n"
+      "  solve (I) {\n"
+      "    small[i] = (i==0) ? 2 : big[i-1] + 1;\n"
+      "    big[i] = small[i] * 10;\n"
+      "  }\n"
+      "}");
+  // small0=2 big0=20 small1=21 big1=210 small2=211 big2=2110 small3=2111.
+  EXPECT_EQ(r.global_element("small", {2}).as_int(), 211);
+  EXPECT_EQ(r.global_element("small", {3}).as_int(), 2111);
+  EXPECT_EQ(r.global_element("big", {3}).as_int(), 21110);
+  EXPECT_EQ(r.global_element("big", {4}).as_int(), 0);
+}
+
+TEST(InterpSolve, ReductionOverTarget) {
+  // a[i] waits for every a[j], j < i, that the reduction reads:
+  // a = 1, 1, 2, 4.
+  auto r = run(
+      "index_set I:i = {0..3}, J:j = I;\nint a[4];\n"
+      "void main() { solve (I) a[i] = (i==0) ? 1 : $+(J st (j<i) a[j]); }");
+  const std::int64_t want[] = {1, 1, 2, 4};
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(r.global_element("a", {k}).as_int(), want[k]) << k;
+  }
+}
+
 TEST(InterpSolve, IterationLimitGuards) {
   ExecOptions opts;
   opts.max_iterations = 4;

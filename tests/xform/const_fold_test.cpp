@@ -48,6 +48,15 @@ TEST(ConstFold, DivisionByZeroNotFolded) {
   EXPECT_NE(out.find("/"), std::string::npos) << out;  // left in place
 }
 
+TEST(ConstFold, MinIntDivByMinusOneWraps) {
+  auto out = folded(
+      "int q, r;\nvoid main() {\n"
+      "  q = (-9223372036854775807 - 1) / -1;\n"
+      "  r = (-9223372036854775807 - 1) % -1;\n}");
+  EXPECT_NE(out.find("q = -9223372036854775808;"), std::string::npos) << out;
+  EXPECT_NE(out.find("r = 0;"), std::string::npos) << out;
+}
+
 TEST(ConstFold, NonConstSubexpressionsSurvive) {
   auto out = folded("int x, y;\nvoid main() { x = y + (2 * 3); }");
   EXPECT_NE(out.find("y + 6"), std::string::npos) << out;

@@ -181,7 +181,9 @@ run_soak_smoke() {
 }
 
 run_asan() {
-  run_suite "$root/build-asan" -DUC_SANITIZE="address;undefined"
+  # Any UBSan finding fails the ctest tier instead of only being printed.
+  UBSAN_OPTIONS=halt_on_error=1 \
+      run_suite "$root/build-asan" -DUC_SANITIZE="address;undefined"
   # Engine parity under the sanitizers: every shipped program, walk vs
   # bytecode (byte-identical output and modeled cycles) vs bytecode-fused
   # (byte-identical output, cycles never above unfused).

@@ -32,8 +32,6 @@
 //                           host-only: outputs and cycles are unchanged)
 //   --no-mappings           ignore map sections
 //   --no-procopt            disable the §4 processor optimisation
-//   --lower-solve           lower solve to *par at the source level
-//   --rewrite-permutes      apply affine permutes as subscript rewrites
 //   --fold / --no-fold      constant folding (default on)
 //   --no-notes              analyze: drop UC-Axxx notes, keep warnings
 //   --no-summary            analyze: drop the communication summary
@@ -130,8 +128,6 @@ int usage() {
       "  --shards=<n>          VP-set shards (0 = one per thread)\n"
       "  --no-mappings         ignore map sections\n"
       "  --no-procopt          disable the processor optimisation\n"
-      "  --lower-solve         lower solve to *par at the source level\n"
-      "  --rewrite-permutes    apply affine permutes as subscript rewrites\n"
       "  --fold / --no-fold    constant folding (default on)\n"
       "  --no-notes            analyze: drop UC-Axxx notes\n"
       "  --no-summary          analyze: drop the communication summary\n"
@@ -356,10 +352,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.exec.apply_mappings = false;
     } else if (arg == "--no-procopt") {
       opts.exec.processor_optimization = false;
-    } else if (arg == "--lower-solve") {
-      opts.compile.lower_solve = true;
-    } else if (arg == "--rewrite-permutes") {
-      opts.compile.rewrite_permutes = true;
     } else if (arg == "--fold") {
       opts.compile.fold_constants = true;
     } else if (arg == "--no-fold") {
@@ -413,11 +405,9 @@ int main(int argc, char** argv) {
   // binds the snapshot to this exact input (docs/ROBUSTNESS.md).
   {
     std::uint64_t h = uc::support::fnv1a(source);
-    h = uc::support::fnv1a_u64(
-        (opts.compile.lower_solve ? 1ull : 0ull) |
-            (opts.compile.rewrite_permutes ? 2ull : 0ull) |
-            (opts.compile.fold_constants ? 4ull : 0ull),
-        h);
+    // fold_constants keeps its historical bit (4) so snapshots written by
+    // earlier builds under the same flags still resume.
+    h = uc::support::fnv1a_u64(opts.compile.fold_constants ? 4ull : 0ull, h);
     opts.exec.program_hash = h;
   }
   if (!opts.exec.checkpoint_dir.empty()) {
