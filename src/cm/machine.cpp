@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "cm/plan_cache.hpp"
 #include "support/str.hpp"
 
 namespace uc::cm {
@@ -16,18 +15,15 @@ std::int64_t MachineImage::words() const {
 }
 
 Machine::Machine(MachineOptions options)
-    : options_(options),
-      pool_(std::make_unique<ThreadPool>(options.host_threads)),
-      exchange_cache_(std::make_unique<PlanCache>()),
-      rng_(options.seed),
-      injector_(options.faults) {
-  shard_count_ =
-      options_.shards == 0 ? pool_->thread_count() : options_.shards;
-  if (shard_count_ < 1) shard_count_ = 1;
-  shard_stats_.assign(shard_count_, ShardStats{});
+    : options_(options), rng_(options.seed), injector_(options.faults) {
+  if (options_.shards != 1) {
+    throw support::ApiError(support::format(
+        "MachineOptions::shards must be 1 (got %u); host parallelism is "
+        "set by host_threads",
+        options_.shards));
+  }
+  pool_ = std::make_unique<ThreadPool>(options.host_threads);
 }
-
-Machine::~Machine() = default;  // here so PlanCache is complete
 
 GeomId Machine::create_geometry(std::vector<std::int64_t> dims) {
   geometries_.push_back(std::make_unique<Geometry>(std::move(dims)));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "support/arith.hpp"
+
 namespace uc::lang {
 
 namespace {
@@ -108,7 +110,7 @@ std::optional<std::int64_t> Sema::const_eval_int(const Expr& e) {
       auto v = const_eval_int(*u.operand);
       if (!v) return std::nullopt;
       switch (u.op) {
-        case UnaryOp::kNeg: return -*v;
+        case UnaryOp::kNeg: return support::wrap_neg(*v);
         case UnaryOp::kNot: return *v == 0 ? 1 : 0;
         case UnaryOp::kBitNot: return ~*v;
         case UnaryOp::kPlus: return *v;
@@ -121,15 +123,15 @@ std::optional<std::int64_t> Sema::const_eval_int(const Expr& e) {
       auto r = const_eval_int(*b.rhs);
       if (!l || !r) return std::nullopt;
       switch (b.op) {
-        case BinaryOp::kAdd: return *l + *r;
-        case BinaryOp::kSub: return *l - *r;
-        case BinaryOp::kMul: return *l * *r;
+        case BinaryOp::kAdd: return support::wrap_add(*l, *r);
+        case BinaryOp::kSub: return support::wrap_sub(*l, *r);
+        case BinaryOp::kMul: return support::wrap_mul(*l, *r);
         case BinaryOp::kDiv:
           if (*r == 0) return std::nullopt;
-          return *l / *r;
+          return support::wrap_div(*l, *r);
         case BinaryOp::kMod:
           if (*r == 0) return std::nullopt;
-          return *l % *r;
+          return support::wrap_mod(*l, *r);
         case BinaryOp::kEq: return *l == *r ? 1 : 0;
         case BinaryOp::kNe: return *l != *r ? 1 : 0;
         case BinaryOp::kLt: return *l < *r ? 1 : 0;

@@ -202,8 +202,9 @@ void encode_payload(const Impl& vm, const Checkpoint& c, ByteWriter& w) {
     w.bytes(f.defined.data(), f.defined.size());
   }
   w.u64(c.machine.rng_state);
-  // 2. Epochs + fault schedule position.
-  w.u64(vm.machine.layout_epoch());
+  // 2. Epochs + fault schedule position.  The first slot is unused and
+  // written as 0; it keeps the byte layout that older snapshots share.
+  w.u64(0);
   w.u64(vm.plan_epoch_);
   w.u64(vm.machine.fault_injector().rng_state());
   // 3. Cost stats (already include this capture's charge and this durable
@@ -277,7 +278,7 @@ DecodedSnapshot decode_payload(ByteReader& r) {
     s.machine.fields.push_back(std::move(f));
   }
   s.machine.rng_state = r.u64();
-  s.layout_epoch = r.u64();
+  r.u64();  // unused slot (see encode_payload)
   s.plan_epoch = r.u64();
   s.injector_rng = r.u64();
   s.stats = decode_stats(r);
@@ -668,10 +669,9 @@ bool DurableCheckpoints::apply_resume(LaneSpace* space, Frame* frame) {
   vm_.stmt_counter = snap.stmt_counter;
   vm_.fe_rng.seed(snap.fe_rng_state);
   vm_.machine.set_stats(snap.stats);
-  // Epochs are SET (not bumped): the prefix evolved them identically to
+  // The epoch is SET (not bumped): the prefix evolved it identically to
   // the original run, and restored plan-cache entries are keyed under the
-  // captured values.
-  vm_.machine.set_layout_epoch(snap.layout_epoch);
+  // captured value.
   vm_.machine.fault_injector().set_rng_state(snap.injector_rng);
   vm_.plan_epoch_ = snap.plan_epoch;
   vm_.plan_cache_.clear();

@@ -129,12 +129,10 @@ struct ExecOptions {
   // and resume notes).  Null = silent.
   std::function<void(const std::string&)> log;
   // Native tier (engine == kNative; docs/VM.md "Native tier"): directory
-  // holding the content-hashed compiled .so cache.  Empty: the
-  // UC_NATIVE_CACHE_DIR environment variable, else a per-user directory
-  // under the system temp path.
+  // holding the content-hashed compiled .so cache.  Empty: a per-user
+  // directory under the system temp path.
   std::string native_cache_dir;
-  // Compiler driver used to build emitted lane kernels.  Empty: the
-  // UC_NATIVE_CC environment variable, else "c++".
+  // Compiler driver used to build emitted lane kernels.  Empty: "c++".
   std::string native_cc;
 };
 

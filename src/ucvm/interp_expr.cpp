@@ -34,13 +34,13 @@ Value eval_binary_op(Impl& vm, BinaryOp op, const Value& a, const Value& b,
   switch (op) {
     case BinaryOp::kAdd:
       return flt ? Value::of_float(a.as_float() + b.as_float())
-                 : Value::of_int(a.i + b.i);
+                 : Value::of_int(support::wrap_add(a.i, b.i));
     case BinaryOp::kSub:
       return flt ? Value::of_float(a.as_float() - b.as_float())
-                 : Value::of_int(a.i - b.i);
+                 : Value::of_int(support::wrap_sub(a.i, b.i));
     case BinaryOp::kMul:
       return flt ? Value::of_float(a.as_float() * b.as_float())
-                 : Value::of_int(a.i * b.i);
+                 : Value::of_int(support::wrap_mul(a.i, b.i));
     case BinaryOp::kDiv:
       if (flt) return Value::of_float(a.as_float() / b.as_float());
       if (b.i == 0) vm.runtime_error(&where, "integer division by zero");
@@ -84,10 +84,10 @@ Value fold_reduce_value(ReduceKind op, const Value& acc, const Value& v) {
   switch (op) {
     case ReduceKind::kAdd:
       return flt ? Value::of_float(acc.as_float() + v.as_float())
-                 : Value::of_int(acc.i + v.i);
+                 : Value::of_int(support::wrap_add(acc.i, v.i));
     case ReduceKind::kMul:
       return flt ? Value::of_float(acc.as_float() * v.as_float())
-                 : Value::of_int(acc.i * v.i);
+                 : Value::of_int(support::wrap_mul(acc.i, v.i));
     case ReduceKind::kAnd:
       return Value::of_bool(acc.truthy() && v.truthy());
     case ReduceKind::kOr:
@@ -395,7 +395,8 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
       if (ctx.undef) return v;
       switch (u.op) {
         case UnaryOp::kNeg:
-          return v.is_float ? Value::of_float(-v.f) : Value::of_int(-v.i);
+          return v.is_float ? Value::of_float(-v.f)
+                            : Value::of_int(support::wrap_neg(v.i));
         case UnaryOp::kNot:
           return Value::of_bool(!v.truthy());
         case UnaryOp::kBitNot:
@@ -483,7 +484,8 @@ Value Impl::eval(const Expr& e, EvalCtx& ctx) {
       Value old = read_target(*target, ctx);
       Value next = old.is_float
                        ? Value::of_float(old.f + (i.is_increment ? 1 : -1))
-                       : Value::of_int(old.i + (i.is_increment ? 1 : -1));
+                       : Value::of_int(support::wrap_add(
+                             old.i, i.is_increment ? 1 : -1));
       if (target->kind == WriteTarget::Kind::kArray) {
         classify_access(*static_cast<ArrayObj*>(target->obj), target->index,
                         ctx);

@@ -607,6 +607,30 @@ class Lowerer {
   }
 };
 
+// True when c·e + d, for the single term c·e of `f`, stays inside int64
+// for every value of e.  Subscripts wrap modulo 2^64 like all int
+// arithmetic (support/arith.hpp), and so do the form's coefficients, so
+// without a wrap the subscript equals the exact form, which is injective
+// in e; with one, distinct lanes can land on one element.  The form is
+// linear in e, so checking the set's extreme values suffices.
+bool form_never_wraps(const xform::LinearForm& f, const Symbol* e) {
+  if (e->elem_of_set == nullptr || e->elem_of_set->index_set == nullptr) {
+    return false;
+  }
+  const auto& values = e->elem_of_set->index_set->values;
+  if (values.empty()) return true;
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  for (const std::int64_t v : {*lo, *hi}) {
+    std::int64_t scaled = 0;
+    std::int64_t sum = 0;
+    if (__builtin_mul_overflow(f.terms[0].coeff, v, &scaled) ||
+        __builtin_add_overflow(scaled, f.constant, &sum)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Compile-time half of the commit proof (docs/VM.md "Commit"); leaves
 // k.stores_affine false unless every obligation holds.  A store site runs
 // at most once per lane (stores inside reduction arms are excluded), so
@@ -629,7 +653,8 @@ void prove_stores(Kernel& k, const Expr* const* stmts, std::size_t n) {
       if (!f.exact || f.terms.size() != 1) return;
       const Symbol* e = f.terms[0].sym;
       if (e->kind != SymbolKind::kIndexElem ||
-          std::find(elems.begin(), elems.end(), e) != elems.end()) {
+          std::find(elems.begin(), elems.end(), e) != elems.end() ||
+          !form_never_wraps(f, e)) {
         return;
       }
       elems.push_back(e);

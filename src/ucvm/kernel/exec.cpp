@@ -8,6 +8,7 @@
 
 #include "ucvm/kernel/kernel.hpp"
 
+#include "support/arith.hpp"
 #include "uclang/symbols.hpp"
 #include "ucvm/durable.hpp"  // complete type for ~Impl's unique_ptr member
 
@@ -470,8 +471,8 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         const Value& v = regs[I.a];
         switch (static_cast<UnaryOp>(I.arg)) {
           case UnaryOp::kNeg:
-            regs[I.dst] =
-                v.is_float ? Value::of_float(-v.f) : Value::of_int(-v.i);
+            regs[I.dst] = v.is_float ? Value::of_float(-v.f)
+                                     : Value::of_int(support::wrap_neg(v.i));
             break;
           case UnaryOp::kNot:
             regs[I.dst] = Value::of_bool(!v.truthy());
@@ -494,15 +495,15 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         if (!a.is_float && !b.is_float) {
           switch (op) {
             case BinaryOp::kAdd:
-              regs[I.dst] = Value::of_int(a.i + b.i);
+              regs[I.dst] = Value::of_int(support::wrap_add(a.i, b.i));
               ++ip;
               continue;
             case BinaryOp::kSub:
-              regs[I.dst] = Value::of_int(a.i - b.i);
+              regs[I.dst] = Value::of_int(support::wrap_sub(a.i, b.i));
               ++ip;
               continue;
             case BinaryOp::kMul:
-              regs[I.dst] = Value::of_int(a.i * b.i);
+              regs[I.dst] = Value::of_int(support::wrap_mul(a.i, b.i));
               ++ip;
               continue;
             case BinaryOp::kEq:
@@ -541,7 +542,7 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         const std::int64_t delta = (I.arg & 1) != 0 ? 1 : -1;
         regs[I.dst] = old.is_float
                           ? Value::of_float(old.f + static_cast<double>(delta))
-                          : Value::of_int(old.i + delta);
+                          : Value::of_int(support::wrap_add(old.i, delta));
         break;
       }
       case Op::kCoerce:
@@ -633,7 +634,7 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
           // Int fast paths for the hot folds; everything else shares
           // fold_reduce_value with the walk.
           rs.acc = Value::of_int(op == ReduceKind::kAdd
-                                     ? rs.acc.i + v.i
+                                     ? support::wrap_add(rs.acc.i, v.i)
                                      : (op == ReduceKind::kMin
                                             ? std::min(rs.acc.i, v.i)
                                             : std::max(rs.acc.i, v.i)));
@@ -727,24 +728,6 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
             static_cast<std::uint32_t>(arena.writes.size()) - span_start;
         if (count > 0) arena.spans.push_back(ChunkSpan{b, span_start, count});
       };
-  const unsigned shards = vm_.machine.shard_count();
-  if (shards > 1 && n > cm::ThreadPool::kInlineCutoff) {
-    // Sharded dispatch (docs/SHARDING.md): one chunk per shard, so each
-    // shard's lanes run on a single worker and its buffered writes form
-    // one span.  commit_buffered() sorts spans by begin_k, which restores
-    // the walk's lane order regardless of which worker ran which shard.
-    const cm::ShardLayout layout(space.geom_size, shards);
-    const auto ranges = shard_lane_ranges(space, active, layout);
-    auto& sstats = vm_.machine.shard_stats();
-    vm_.machine.pool().for_shards(shards, [&](unsigned worker, unsigned s) {
-      const auto [b, e] = ranges[s];
-      if (b >= e) return;
-      body(worker, b, e);
-      sstats[s].ops += 1;
-      sstats[s].intra_lanes += static_cast<std::uint64_t>(e - b);
-    });
-    return;
-  }
   vm_.machine.pool().parallel_for_indexed(0, n, body, /*min_grain=*/64);
 }
 

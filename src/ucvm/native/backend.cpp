@@ -58,21 +58,13 @@ BackendOptions resolve_options(const std::string& cache_dir,
                                const std::string& cc) {
   BackendOptions r{cache_dir, cc};
   if (r.cache_dir.empty()) {
-    if (const char* env = std::getenv("UC_NATIVE_CACHE_DIR");
-        env != nullptr && *env != '\0') {
-      r.cache_dir = env;
-    } else {
-      std::error_code ec;
-      fs::path base = fs::temp_directory_path(ec);
-      if (ec) base = "/tmp";
-      r.cache_dir =
-          (base / ("uc-native-cache-" + std::to_string(::getuid()))).string();
-    }
+    std::error_code ec;
+    fs::path base = fs::temp_directory_path(ec);
+    if (ec) base = "/tmp";
+    r.cache_dir =
+        (base / ("uc-native-cache-" + std::to_string(::getuid()))).string();
   }
-  if (r.cc.empty()) {
-    const char* env = std::getenv("UC_NATIVE_CC");
-    r.cc = env != nullptr && *env != '\0' ? env : "c++";
-  }
+  if (r.cc.empty()) r.cc = "c++";
   return r;
 }
 
@@ -228,7 +220,7 @@ bool Backend::compile_to(const std::string& src_path,
       warned_toolchain_ = true;
       note(log, "native: host toolchain '" + cc_ +
            "' cannot build lane kernels; falling back to the bytecode "
-           "engine (set --native-cc or $UC_NATIVE_CC)");
+           "engine (set --native-cc)");
     }
     return false;
   }

@@ -404,6 +404,15 @@ class Emitter {
         "{ i64 v; __builtin_memcpy(&v, &b, 8); return v; }\n"
         "static inline u64 uc_f_bits(double d) "
         "{ u64 b; __builtin_memcpy(&b, &d, 8); return b; }\n"
+        // Wrapping int arithmetic (support/arith.hpp): signed overflow is
+        // undefined in C++, and -O3 exploits it.
+        "static inline i64 uc_add(i64 a, i64 b) "
+        "{ return (i64)((u64)a + (u64)b); }\n"
+        "static inline i64 uc_sub(i64 a, i64 b) "
+        "{ return (i64)((u64)a - (u64)b); }\n"
+        "static inline i64 uc_mul(i64 a, i64 b) "
+        "{ return (i64)((u64)a * (u64)b); }\n"
+        "static inline i64 uc_neg(i64 a) { return (i64)(0ull - (u64)a); }\n"
         "static inline u64 uc_sm64(u64& s) {\n"
         "  u64 z = (s += 0x9e3779b97f4a7c15ull);\n"
         "  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;\n"
@@ -592,8 +601,10 @@ class Emitter {
       case Op::kUnary:
         switch (static_cast<UnaryOp>(I.arg)) {
           case UnaryOp::kNeg:
-            appendf(src_, "      %s = -%s;\n", R(I.dst).c_str(),
-                    R(I.a).c_str());
+            appendf(src_,
+                    rt_[I.a] == kFloat ? "      %s = -%s;\n"
+                                       : "      %s = uc_neg(%s);\n",
+                    R(I.dst).c_str(), R(I.a).c_str());
             break;
           case UnaryOp::kNot:
             appendf(src_, "      %s = (%s) ? 0 : 1;\n", R(I.dst).c_str(),
@@ -613,8 +624,13 @@ class Emitter {
         emit_binary(I);
         break;
       case Op::kIncDec:
-        appendf(src_, "      %s = %s %s 1;\n", R(I.dst).c_str(),
-                R(I.a).c_str(), (I.arg & 1) != 0 ? "+" : "-");
+        if (rt_[I.a] == kFloat) {
+          appendf(src_, "      %s = %s %s 1;\n", R(I.dst).c_str(),
+                  R(I.a).c_str(), (I.arg & 1) != 0 ? "+" : "-");
+        } else {
+          appendf(src_, "      %s = %s(%s, 1);\n", R(I.dst).c_str(),
+                  (I.arg & 1) != 0 ? "uc_add" : "uc_sub", R(I.a).c_str());
+        }
         break;
       case Op::kCoerce:
         if (static_cast<ScalarKind>(I.arg) == ScalarKind::kFloat) {
@@ -782,9 +798,19 @@ class Emitter {
     const std::string b = flt ? F(I.b) : R(I.b);
     const char* d = nullptr;
     switch (op) {
-      case BinaryOp::kAdd: d = "+"; break;
-      case BinaryOp::kSub: d = "-"; break;
-      case BinaryOp::kMul: d = "*"; break;
+      case BinaryOp::kAdd:
+      case BinaryOp::kSub:
+      case BinaryOp::kMul:
+        if (flt) {
+          d = op == BinaryOp::kAdd ? "+" : op == BinaryOp::kSub ? "-" : "*";
+          break;
+        }
+        appendf(src_, "      %s = %s(%s, %s);\n", R(I.dst).c_str(),
+                op == BinaryOp::kAdd   ? "uc_add"
+                : op == BinaryOp::kSub ? "uc_sub"
+                                       : "uc_mul",
+                a.c_str(), b.c_str());
+        return;
       case BinaryOp::kDiv:
         if (flt) {
           appendf(src_, "      %s = %s / %s;\n", R(I.dst).c_str(), a.c_str(),
@@ -854,10 +880,15 @@ class Emitter {
     const std::string v = m.acc == kFloat ? F(I.a) : I64(I.a);
     switch (m.op) {
       case ReduceKind::kAdd:
-        appendf(src_, "      %s += %s;\n", acc.c_str(), v.c_str());
-        break;
       case ReduceKind::kMul:
-        appendf(src_, "      %s *= %s;\n", acc.c_str(), v.c_str());
+        if (m.acc == kFloat) {
+          appendf(src_, "      %s %s= %s;\n", acc.c_str(),
+                  m.op == ReduceKind::kAdd ? "+" : "*", v.c_str());
+        } else {
+          appendf(src_, "      %s = %s(%s, %s);\n", acc.c_str(),
+                  m.op == ReduceKind::kAdd ? "uc_add" : "uc_mul", acc.c_str(),
+                  v.c_str());
+        }
         break;
       case ReduceKind::kAnd:
         appendf(src_, "      %s = (%s != 0 && %s) ? 1 : 0;\n", acc.c_str(),

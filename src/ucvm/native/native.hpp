@@ -45,8 +45,8 @@ struct BackendOptions {
   std::string cc;
 };
 
-// Resolves empty fields: cache_dir from $UC_NATIVE_CACHE_DIR or a per-user
-// directory under the system temp path, cc from $UC_NATIVE_CC or "c++".
+// Resolves empty fields: cache_dir to a per-user directory under the
+// system temp path, cc to "c++".
 BackendOptions resolve_options(const std::string& cache_dir,
                                const std::string& cc);
 

@@ -22,7 +22,7 @@ void add_term(LinearForm& f, const Symbol* sym, std::int64_t coeff) {
   if (coeff == 0) return;
   for (auto& t : f.terms) {
     if (t.sym == sym) {
-      t.coeff += coeff;
+      t.coeff = support::wrap_add(t.coeff, coeff);
       if (t.coeff == 0) {
         t = f.terms.back();
         f.terms.pop_back();
@@ -37,8 +37,11 @@ LinearForm combine(const LinearForm& a, const LinearForm& b,
                    std::int64_t b_sign) {
   if (!a.exact || !b.exact) return inexact();
   LinearForm f = a;
-  f.constant += b_sign * b.constant;
-  for (const auto& t : b.terms) add_term(f, t.sym, b_sign * t.coeff);
+  f.constant =
+      support::wrap_add(f.constant, support::wrap_mul(b_sign, b.constant));
+  for (const auto& t : b.terms) {
+    add_term(f, t.sym, support::wrap_mul(b_sign, t.coeff));
+  }
   return f;
 }
 
@@ -46,8 +49,10 @@ LinearForm scale(const LinearForm& a, std::int64_t k) {
   if (!a.exact) return inexact();
   LinearForm f;
   f.exact = true;
-  f.constant = a.constant * k;
-  for (const auto& t : a.terms) add_term(f, t.sym, t.coeff * k);
+  f.constant = support::wrap_mul(a.constant, k);
+  for (const auto& t : a.terms) {
+    add_term(f, t.sym, support::wrap_mul(t.coeff, k));
+  }
   return f;
 }
 

@@ -32,6 +32,14 @@ TEST(Machine, BadIdsThrow) {
   EXPECT_THROW(m.field(FieldId{-1}), support::ApiError);
 }
 
+TEST(Machine, RejectsShardsOtherThanOne) {
+  MachineOptions opts;
+  opts.shards = 4;
+  EXPECT_THROW(Machine{opts}, support::ApiError);
+  opts.shards = 0;
+  EXPECT_THROW(Machine{opts}, support::ApiError);
+}
+
 TEST(Machine, FieldDefinedFlags) {
   Machine m;
   auto g = m.create_geometry({4});

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
+#include <vector>
 
 namespace uc::cm {
 namespace {
@@ -244,6 +246,117 @@ INSTANTIATE_TEST_SUITE_P(AllOps, ReducePropertyP,
                                            ReduceOp::kMax, ReduceOp::kMin,
                                            ReduceOp::kAnd, ReduceOp::kOr,
                                            ReduceOp::kXor));
+
+// ---- thread-count differential ----
+//
+// Elementwise, NEWS and router ops split their lanes over the machine's
+// pool.  Run one mixed scenario — masked/aliased NEWS shifts, router
+// gathers, every reduction and scan, broadcasts — on a geometry above the
+// ops' 1024-lane grain, on machines differing only in host_threads, and
+// require every field word, every front-end scalar and every cost counter
+// to match the one-thread machine bitwise.
+
+struct OpsScenarioResult {
+  std::vector<Bits> words;    // all field contents, concatenated
+  std::vector<Bits> scalars;  // reduce results + global_or
+  CostStats stats;
+  std::uint64_t pooled_jobs = 0;  // regions posted to the workers
+};
+
+OpsScenarioResult run_ops_scenario(unsigned threads) {
+  MachineOptions opts;
+  opts.host_threads = threads;
+  Machine m(opts);
+  const GeomId g = m.create_geometry({48, 37});  // 1776 VPs
+  const Geometry& geom = m.geometry(g);
+  const std::int64_t n = geom.size();
+  ContextStack ctx(&geom);
+  Field& a = m.field(m.allocate_field(g, "a", ElemType::kInt));
+  Field& b = m.field(m.allocate_field(g, "b", ElemType::kInt));
+  Field& x = m.field(m.allocate_field(g, "x", ElemType::kFloat));
+  Field& y = m.field(m.allocate_field(g, "y", ElemType::kFloat));
+
+  elementwise(m, ctx, b, [](VpIndex vp) { return from_int(vp * 7 - 3); });
+  elementwise(m, ctx, x,
+              [](VpIndex vp) { return from_float(vp * 0.5 - 3.25); });
+  a.fill(from_int(-1));
+  y.fill(from_float(0.0));
+
+  OpsScenarioResult r;
+  // NEWS shifts along both axes, masked, aliased in place, |delta| > 1.
+  for (int round = 0; round < 2; ++round) {
+    news_shift(m, ctx, a, b, 0, 1);
+    ctx.where([](VpIndex vp) { return vp % 3 != 0; });
+    news_shift(m, ctx, a, b, 1, -1);
+    ctx.end();
+    news_shift(m, ctx, a, a, 1, 2);   // dst aliases src
+    news_shift(m, ctx, y, x, 0, -3);  // float payloads, multi-hop
+  }
+  // Router gathers: a full reversal and a masked sparse pattern with
+  // skipped lanes.
+  router_get(m, ctx, a, b,
+             [n](VpIndex vp) -> std::optional<VpIndex> { return n - 1 - vp; });
+  ctx.where([](VpIndex vp) { return vp % 5 == 1; });
+  router_get(m, ctx, y, x, [n](VpIndex vp) -> std::optional<VpIndex> {
+    if (vp % 2 == 0) return std::nullopt;
+    return (vp * 13) % n;
+  });
+  ctx.end();
+  // Every reduction on ints, float add/min/max, a masked subset and an
+  // empty set.
+  for (const ReduceOp op : {ReduceOp::kAdd, ReduceOp::kMul, ReduceOp::kMin,
+                            ReduceOp::kMax, ReduceOp::kAnd, ReduceOp::kOr,
+                            ReduceOp::kXor}) {
+    r.scalars.push_back(reduce(m, ctx, b, op));
+  }
+  for (const ReduceOp op : {ReduceOp::kAdd, ReduceOp::kMin, ReduceOp::kMax}) {
+    r.scalars.push_back(reduce(m, ctx, x, op));
+  }
+  ctx.where([](VpIndex vp) { return vp % 4 == 2; });
+  r.scalars.push_back(reduce(m, ctx, b, ReduceOp::kAdd));
+  ctx.end();
+  ctx.where([](VpIndex) { return false; });
+  r.scalars.push_back(reduce(m, ctx, b, ReduceOp::kMin));  // identity
+  ctx.end();
+  // Scans: full and masked, int and float.
+  scan(m, ctx, a, b, ReduceOp::kAdd);
+  scan(m, ctx, y, x, ReduceOp::kMax);
+  ctx.where([](VpIndex vp) { return vp % 2 == 1; });
+  scan(m, ctx, a, b, ReduceOp::kMin);
+  ctx.end();
+  // Broadcast + global-OR under a mask.
+  ctx.where([](VpIndex vp) { return vp % 7 == 3; });
+  broadcast(m, ctx, a, from_int(4242));
+  r.scalars.push_back(from_int(global_or(m, ctx) ? 1 : 0));
+  ctx.end();
+
+  for (const Field* f : {&a, &b, &x, &y}) {
+    for (VpIndex vp = 0; vp < n; ++vp) r.words.push_back(f->get(vp));
+  }
+  r.stats = m.stats();
+  r.pooled_jobs = m.pool().jobs_executed() - m.pool().inline_jobs();
+  return r;
+}
+
+TEST(OpsThreads, BitIdenticalAcrossThreadCounts) {
+  const OpsScenarioResult base = run_ops_scenario(1);
+  EXPECT_EQ(base.pooled_jobs, 0u);
+  for (const unsigned threads : {2u, 4u, 7u}) {
+    const OpsScenarioResult got = run_ops_scenario(threads);
+    EXPECT_GT(got.pooled_jobs, 0u) << "threads=" << threads;
+    ASSERT_EQ(base.words.size(), got.words.size());
+    for (std::size_t i = 0; i < base.words.size(); ++i) {
+      ASSERT_EQ(base.words[i], got.words[i])
+          << "field word " << i << " at threads=" << threads;
+    }
+    ASSERT_EQ(base.scalars.size(), got.scalars.size());
+    for (std::size_t i = 0; i < base.scalars.size(); ++i) {
+      ASSERT_EQ(base.scalars[i], got.scalars[i])
+          << "scalar " << i << " at threads=" << threads;
+    }
+    EXPECT_TRUE(base.stats == got.stats) << "stats at threads=" << threads;
+  }
+}
 
 }  // namespace
 }  // namespace uc::cm

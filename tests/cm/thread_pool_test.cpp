@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace uc::cm {
@@ -125,6 +126,74 @@ TEST(ThreadPool, SmallJobsRunInlineOnCallingThread) {
 TEST(ThreadPool, ThreadCountReported) {
   EXPECT_EQ(ThreadPool(1).thread_count(), 1u);
   EXPECT_EQ(ThreadPool(4).thread_count(), 4u);
+}
+
+TEST(ThreadPool, ZeroThreadCountFallsBackToHardware) {
+  // thread_count==0 means "ask the OS"; even when hardware_concurrency()
+  // itself returns 0 the pool must come up with at least one thread.
+  ThreadPool pool(0);
+  EXPECT_GE(pool.thread_count(), 1u);
+  std::atomic<std::int64_t> n{0};
+  pool.parallel_for_indexed(
+      0, 4000,
+      [&](unsigned worker, std::int64_t b, std::int64_t e) {
+        EXPECT_LT(worker, pool.thread_count());
+        n.fetch_add(e - b, std::memory_order_relaxed);
+      },
+      /*min_grain=*/100);
+  EXPECT_EQ(n.load(), 4000);
+}
+
+TEST(ThreadPool, NestedRegionRunsInlineOnTheOuterWorker) {
+  // The pool holds a single job slot, so a region issued from inside a
+  // chunk body must run inline on that chunk's worker, under its id,
+  // instead of re-entering the pool; only the outer region is counted.
+  ThreadPool pool(4);
+  constexpr std::int64_t kOuter = 4000;
+  constexpr std::int64_t kInner = 1000;
+  std::vector<std::atomic<int>> hits(kOuter * 2);
+  const std::uint64_t jobs0 = pool.jobs_executed();
+  pool.parallel_for_indexed(
+      0, kOuter,
+      [&](unsigned outer, std::int64_t b, std::int64_t e) {
+        pool.parallel_for_indexed(
+            b * 2, e * 2,
+            [&](unsigned inner, std::int64_t ib, std::int64_t ie) {
+              EXPECT_EQ(inner, outer);
+              EXPECT_EQ(ib, b * 2);  // one inline chunk, never split
+              EXPECT_EQ(ie, e * 2);
+              for (auto i = ib; i < ie; ++i) {
+                hits[static_cast<std::size_t>(i)].fetch_add(
+                    1, std::memory_order_relaxed);
+              }
+            },
+            /*min_grain=*/8);
+      },
+      /*min_grain=*/kInner);
+  EXPECT_EQ(pool.jobs_executed(), jobs0 + 1);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, ErrorFromLowestRangeWins) {
+  // When several chunks throw, the rethrown error must be the one the
+  // serial left-to-right execution would have hit first — not whichever
+  // worker finished first (scheduling-dependent).
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      pool.parallel_for_indexed(
+          0, 4000,
+          [&](unsigned, std::int64_t b, std::int64_t) {
+            throw std::runtime_error("chunk@" + std::to_string(b));
+          },
+          /*min_grain=*/100);
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk@0");
+    }
+  }
 }
 
 }  // namespace

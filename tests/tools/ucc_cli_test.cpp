@@ -478,7 +478,7 @@ TEST(UccCli, CheckpointDirRequiresCadence) {
 // generations behind; --resume restores the newest one and must finish
 // with the same program output AND the same modeled cycle count as an
 // uninterrupted run.  tools/soak.sh repeats this at randomized kill points
-// across programs, engines and shard counts.
+// across programs, engines and thread counts.
 TEST(UccCli, DieAtKillsAndResumeReproducesBitIdentical) {
   const std::string dir = "/tmp/ucc_cli_ck";
   run_command("rm -rf " + dir + " " + dir + "_base");

@@ -48,6 +48,24 @@ TEST(Sema, ConstIntDrivesDimensions) {
             (std::vector<std::int64_t>{4, 8}));
 }
 
+TEST(Sema, ConstIntArithmeticWraps) {
+  // Constant evaluation wraps like the VM instead of overflowing (and, for
+  // INT64_MIN / -1, trapping): Q and S wrap to INT64_MIN and R is 0, so
+  // both sets start at 0.
+  auto unit = sema_ok(
+      "const int M = -9223372036854775807 - 1;\n"
+      "const int Q = M / -1, R = M % -1, S = 9223372036854775807 + 1;\n"
+      "index_set I:i = {Q - M .. R + 3}, J:j = {S - M .. 2};\n"
+      "void main() { }");
+  auto* decl =
+      static_cast<IndexSetDeclStmt*>(unit->program->items[2].decl.get());
+  ASSERT_NE(decl->defs[0].symbol, nullptr);
+  EXPECT_EQ(decl->defs[0].symbol->index_set->values,
+            (std::vector<std::int64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(decl->defs[1].symbol->index_set->values,
+            (std::vector<std::int64_t>{0, 1, 2}));
+}
+
 TEST(Sema, NonConstantIndexSetBoundRejected) {
   sema_err("int n;\nindex_set I:i = {0..n};\nvoid main() { }",
            "constant expression");

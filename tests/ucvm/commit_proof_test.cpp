@@ -9,7 +9,7 @@
 //   - aliased views of one array (slices, a slice and its parent) collide
 //     by storage, so their conflicts are reported like any other;
 //   - the paper workloads (Figs 6-8) take the proven path for every commit,
-//     unsharded and on four shards.
+//     on one host thread and on four.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -35,10 +35,9 @@ constexpr Config kConfigs[] = {
 };
 
 RunResult run_config(const std::string& src, const Config& cfg,
-                     unsigned shards = 1) {
+                     unsigned threads = 1) {
   cm::MachineOptions mopts;
-  mopts.shards = shards;
-  if (shards > 1) mopts.host_threads = 4;
+  mopts.host_threads = threads;
   ExecOptions eopts;
   eopts.engine = cfg.engine;
   eopts.fuse = cfg.fuse;
@@ -47,12 +46,12 @@ RunResult run_config(const std::string& src, const Config& cfg,
 
 // Runs `src` on every configuration and expects the same conflict error
 // (message and source site) from each.
-void expect_conflict_everywhere(const std::string& src, unsigned shards = 1) {
+void expect_conflict_everywhere(const std::string& src, unsigned threads = 1) {
   std::string walk_what;
   for (const Config& cfg : kConfigs) {
     std::string what;
     try {
-      run_config(src, cfg, shards);
+      run_config(src, cfg, threads);
       ADD_FAILURE() << cfg.name << " did not raise a conflict";
       continue;
     } catch (const support::UcRuntimeError& e) {
@@ -99,7 +98,15 @@ TEST(CommitProof, SubscriptMissingABoundElementConflicts) {
       "  par (I, J) a[i] = b[j];\n"
       "}";
   expect_conflict_everywhere(src);
-  expect_conflict_everywhere(src, /*shards=*/4);
+  expect_conflict_everywhere(src, /*threads=*/4);
+}
+
+// Subscripts wrap modulo 2^64: 4·2^62 is 0, so lanes k = 0 and k = 4 both
+// store x[0] although the form 2^62·k is injective over the integers.
+TEST(CommitProof, WrappingSubscriptConflicts) {
+  expect_conflict_everywhere(
+      "index_set K:k = {0, 4};\n"
+      "int x[4];\nvoid main() { par (K) x[k * 4611686018427387904] = k; }");
 }
 
 // A listed set with a repeated member expands two lanes with k == 1.
@@ -255,22 +262,22 @@ TEST(CommitProof, DisjointSlicesDoNotConflict) {
       /*checked=*/true);
 }
 
-// Figs 6-8 at shards 1 and 4: every compiled commit is proven, and the
+// Figs 6-8 on 1 and 4 host threads: every compiled commit is proven, and the
 // output and modeled cycles match the walk, which checks every commit.
 TEST(CommitProof, PaperWorkloadsTakeTheProvenPath) {
   const std::string programs[] = {papers::shortest_path_on2(8),
                                   papers::shortest_path_on3(8),
                                   papers::grid_shortest_path(8, 8)};
   for (const std::string& src : programs) {
-    for (unsigned shards : {1u, 4u}) {
-      const RunResult walk = run_config(src, kConfigs[0], shards);
+    for (unsigned threads : {1u, 4u}) {
+      const RunResult walk = run_config(src, kConfigs[0], threads);
       EXPECT_EQ(walk.commits_proven(), 0u);
       EXPECT_GT(walk.commits_checked(), 0u);
       for (const Config& cfg : kConfigs) {
         if (cfg.engine == ExecEngine::kWalk) continue;
-        const RunResult r = run_config(src, cfg, shards);
+        const RunResult r = run_config(src, cfg, threads);
         const std::string label =
-            std::string(cfg.name) + " shards=" + std::to_string(shards);
+            std::string(cfg.name) + " threads=" + std::to_string(threads);
         EXPECT_EQ(walk.output(), r.output()) << label;
         EXPECT_GT(r.commits_proven(), 0u) << label;
         EXPECT_EQ(r.commits_checked(), 0u) << label;

@@ -90,6 +90,25 @@ void expect_parity(const std::string& src,
   expect_stats_equal(fused.stats(), native.stats());
 }
 
+// expect_parity, plus the walk's exact output and a fused run on four host
+// threads that matches it (output, cycles, globals).
+void expect_wrap_parity(const std::string& src, const std::string& output,
+                        const std::vector<std::string>& globals) {
+  expect_parity(src, globals);
+  const RunResult walk = run_with(src, ExecEngine::kWalk);
+  EXPECT_EQ(walk.output(), output);
+  cm::MachineOptions mopts;
+  mopts.host_threads = 4;
+  ExecOptions eopts;
+  eopts.fuse = true;
+  const RunResult threaded = run_uc(src, mopts, eopts);
+  EXPECT_EQ(walk.output(), threaded.output());
+  expect_stats_equal(run_with(src, ExecEngine::kBytecode, /*fuse=*/true)
+                         .stats(),
+                     threaded.stats());
+  expect_globals_equal(walk, threaded, globals, "walk/threads=4");
+}
+
 // Both engines must raise the same UcRuntimeError text (the bytecode
 // executor reuses the walk's error sites and messages), fused or not.
 void expect_error_parity(const std::string& src) {
@@ -300,7 +319,7 @@ TEST(EngineParity, SolveReductionOverTarget) {
 }
 
 // INT64_MIN / -1 and INT64_MIN % -1 wrap (to INT64_MIN and 0) on every
-// engine and shard count instead of trapping: in a par body, in scalar
+// engine and thread count instead of trapping: in a par body, in scalar
 // statements, and in a subscript the affine proofs evaluate.
 TEST(EngineParity, MinIntDivByMinusOneWraps) {
   const std::string src =
@@ -316,22 +335,106 @@ TEST(EngineParity, MinIntDivByMinusOneWraps) {
       "  par (I) q[i + (0 - 9223372036854775807 - 1) % (0 - 1)] += 0;\n"
       "  print(sq, sr, q[0], r[0], q[1], r[1]);\n"
       "}\n";
-  expect_parity(src, {"q", "r"});
-  RunResult walk = run_with(src, ExecEngine::kWalk);
-  EXPECT_EQ(walk.output(),
-            "-9223372036854775808 0 -9223372036854775808 0 "
-            "-9223372036854775808 0\n");
-  cm::MachineOptions mopts;
-  mopts.host_threads = 4;
-  mopts.shards = 4;
-  ExecOptions eopts;
-  eopts.fuse = true;
-  RunResult sharded = run_uc(src, mopts, eopts);
-  EXPECT_EQ(walk.output(), sharded.output());
-  expect_stats_equal(run_with(src, ExecEngine::kBytecode, /*fuse=*/true)
-                         .stats(),
-                     sharded.stats());
-  expect_globals_equal(walk, sharded, {"q", "r"}, "walk/shards=4");
+  expect_wrap_parity(src,
+                     "-9223372036854775808 0 -9223372036854775808 0 "
+                     "-9223372036854775808 0\n",
+                     {"q", "r"});
+}
+
+// Integer + - * and unary - wrap modulo 2^64 at the INT64_MIN/INT64_MAX
+// edges on every engine: in par bodies (where the native tier's -O3
+// kernels used to exploit signed overflow, e.g. folding `x + i > x` to
+// `i > 0`), in front-end scalar statements, in ++/--, and in the constant
+// folder (the last printed value is a literal expression).
+TEST(EngineParity, IntAddWrapsAtTheEdges) {
+  expect_wrap_parity(
+      "index_set I:i = {0..3};\n"
+      "int a[4], b[4], x, s, c;\n"
+      "void main() {\n"
+      "  x = 9223372036854775807;\n"
+      "  s = x + 1;\n"
+      "  c = x; c++;\n"
+      "  par (I) a[i] = (x + i > x);\n"
+      "  par (I) b[i] = x + i;\n"
+      "  par (I) b[i]++;\n"
+      "  print(s, c, a[0], a[1], a[2], a[3], b[0], b[3],\n"
+      "        9223372036854775807 + 1);\n"
+      "}\n",
+      "-9223372036854775808 -9223372036854775808 0 0 0 0 "
+      "-9223372036854775808 -9223372036854775805 -9223372036854775808\n",
+      {"a", "b"});
+}
+
+TEST(EngineParity, IntSubWrapsAtTheEdges) {
+  expect_wrap_parity(
+      "index_set I:i = {0..3};\n"
+      "int a[4], b[4], x, s, c;\n"
+      "void main() {\n"
+      "  x = -9223372036854775807 - 1;\n"
+      "  s = x - 1;\n"
+      "  c = x; c--;\n"
+      "  par (I) a[i] = (x - i < x);\n"
+      "  par (I) b[i] = x - i;\n"
+      "  par (I) b[i]--;\n"
+      "  print(s, c, a[0], a[1], a[2], a[3], b[0], b[3],\n"
+      "        (-9223372036854775807 - 1) - 1);\n"
+      "}\n",
+      "9223372036854775807 9223372036854775807 0 0 0 0 "
+      "9223372036854775807 9223372036854775804 9223372036854775807\n",
+      {"a", "b"});
+}
+
+TEST(EngineParity, IntMulWrapsAtTheEdges) {
+  expect_wrap_parity(
+      "index_set I:i = {0..3};\n"
+      "int a[4], b[4], x, s;\n"
+      "void main() {\n"
+      "  x = 4611686018427387904;\n"  // 2^62
+      "  s = x * 2;\n"
+      "  par (I) a[i] = (x * (i + 1) > 0);\n"
+      "  par (I) b[i] = x * (i + 1);\n"
+      "  print(s, a[0], a[1], a[2], a[3], b[1], b[2], b[3],\n"
+      "        4611686018427387904 * 4);\n"
+      "}\n",
+      "-9223372036854775808 1 0 0 0 -9223372036854775808 "
+      "-4611686018427387904 0 0\n",
+      {"a", "b"});
+}
+
+TEST(EngineParity, IntNegWrapsAtTheEdges) {
+  expect_wrap_parity(
+      "index_set I:i = {0..3};\n"
+      "int a[4], b[4], x, s;\n"
+      "void main() {\n"
+      "  x = -9223372036854775807 - 1;\n"
+      "  s = -x;\n"
+      "  par (I) a[i] = (-(x + i) > 0);\n"
+      "  par (I) b[i] = -(x + i);\n"
+      "  print(s, a[0], a[1], a[2], a[3], b[0], b[3],\n"
+      "        -(-9223372036854775807 - 1));\n"
+      "}\n",
+      "-9223372036854775808 0 1 1 1 -9223372036854775808 "
+      "9223372036854775805 -9223372036854775808\n",
+      {"a", "b"});
+}
+
+// Int $+ and $* reductions wrap in the VM's own folds too: per lane (a
+// reduction inside a par body, folded by the lane engines) and on the
+// front end.
+TEST(EngineParity, IntReductionsWrapOnOverflow) {
+  expect_wrap_parity(
+      "index_set I:i = {0..3}, J:j = {0..3};\n"
+      "int a[4], r[4], m[4], s, p;\n"
+      "void main() {\n"
+      "  par (I) a[i] = 9223372036854775807 - i;\n"
+      "  s = $+(I; a[i]);\n"
+      "  p = $*(I; a[i]);\n"
+      "  par (I) r[i] = $+(J; a[j] + i);\n"
+      "  par (I) m[i] = $*(J; a[j] + i);\n"
+      "  print(s, p, r[0], r[3], m[0], m[3]);\n"
+      "}\n",
+      "-10 24 -10 2 24 0\n",
+      {"r", "m"});
 }
 
 // --- fusion safety ---

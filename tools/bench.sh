@@ -19,7 +19,6 @@
 #   durable-ckpt  --checkpoint-every=8 --checkpoint-dir=<tmp>
 #   faulted       --checkpoint-every=8 --faults=<p=1e-4 on every unit>
 #   optmap        the program `ucc optimize-map --emit` rewrites
-#   shard1/2/4    --threads=4 --shards=1/2/4
 #
 # The merged rows are {program, config, engine, host_ms, cycles}, host_ms
 # being the median of the timed runs.  The driver exits nonzero unless,
@@ -27,7 +26,6 @@
 #
 #   - every configuration prints the plain configuration's output;
 #   - durable-ckpt charges exactly the cycles of ckpt;
-#   - shard1/2/4 charge exactly the cycles of plain;
 #   - optmap charges at most the cycles of plain.
 set -euo pipefail
 
@@ -84,17 +82,13 @@ for prog in "${programs[@]}"; do
   bench "$prog" faulted "$src" --checkpoint-every=8 --faults="$faults"
   "$ucc" optimize-map "$src" --emit="$work/$prog.optmap.uc" >/dev/null
   bench "$prog" optmap "$work/$prog.optmap.uc"
-  for shards in 1 2 4; do
-    bench "$prog" "shard$shards" "$src" --threads=4 --shards="$shards"
-  done
 done
 
 python3 - "$work" "$out" "${programs[@]}" <<'PYEOF'
 import json, sys
 
 work, out, programs = sys.argv[1], sys.argv[2], sys.argv[3:]
-configs = ["plain", "ckpt", "durable-ckpt", "faulted", "optmap",
-           "shard1", "shard2", "shard4"]
+configs = ["plain", "ckpt", "durable-ckpt", "faulted", "optmap"]
 failures = []
 merged = []
 for prog in programs:
@@ -113,9 +107,6 @@ for prog in programs:
                "output differs from")
     relate("durable-ckpt", "ckpt", lambda r, b: r["cycles"] == b["cycles"],
            "cycles differ from")
-    for shards in ("shard1", "shard2", "shard4"):
-        relate(shards, "plain", lambda r, b: r["cycles"] == b["cycles"],
-               "cycles differ from")
     relate("optmap", "plain", lambda r, b: r["cycles"] <= b["cycles"],
            "charges more cycles than")
     merged += [{"program": prog, "config": c, "engine": e,

@@ -188,7 +188,7 @@ run_asan() {
   # bytecode (byte-identical output and modeled cycles) vs bytecode-fused
   # (byte-identical output, cycles never above unfused).
   "$root/build-asan/tests/ucvm/test_ucvm" \
-      --gtest_filter='EngineParity*:ShardParity*:CommitProof*:WriteRecord*'
+      --gtest_filter='EngineParity*:ThreadParity*:CommitProof*:WriteRecord*'
   # Kernels and loaded native objects reused across the runs of one
   # Program, then unloaded with it.
   "$root/build-asan/tests/uc/test_uc_api" --gtest_filter='ProgramReuse*'
@@ -197,25 +197,24 @@ run_asan() {
   run_fault_smoke "$root/build-asan"
   run_commit_proof_smoke "$root/build-asan"
   run_optmap_smoke "$root/build-asan"
-  # Bounded under the sanitizers: one program, unsharded, one kill.
+  # Bounded under the sanitizers: one program, one thread, one kill.
   run_soak_smoke "$root/build-asan" \
-      env SOAK_PROGS=fig6_shortest_path_on2 SOAK_SHARDS=1
+      env SOAK_PROGS=fig6_shortest_path_on2 SOAK_THREADS=1
 }
 
-# ThreadSanitizer lane (docs/SHARDING.md): sharded execution hands each
-# shard's block to its own pool worker, so the pool and the sharded parity
-# suites run under TSan.  The full ctest tier under TSan is slow; this lane
-# focuses on the suites that actually fork and join threads: the cm pool /
-# shard / ops / machine tests and the engine + shard differential suites,
-# which run every paper program through the sharded dispatch paths, plus
-# the Program-reuse suite, whose kernels outlive the pool of each run.
+# ThreadSanitizer lane: the host thread pool splits every lane loop over
+# its workers.  The full ctest tier under TSan is slow; this lane focuses
+# on the suites that actually fork and join threads: the cm pool / ops /
+# machine tests and the engine + thread-count differential suites, which
+# run every paper program at 1/2/4/7 host threads, plus the Program-reuse
+# suite, whose kernels outlive the pool of each run.
 run_tsan() {
   cmake -B "$root/build-tsan" -S "$root" -DUC_SANITIZE="thread"
   cmake --build "$root/build-tsan" -j
   "$root/build-tsan/tests/cm/test_cm" \
-      --gtest_filter='ThreadPool*:Threads/*:PoolShards*:Shard*:ShiftExchange*:MachineShards*:Machine*:Ops*'
+      --gtest_filter='ThreadPool*:Threads/*:Machine*:Ops*'
   "$root/build-tsan/tests/ucvm/test_ucvm" \
-      --gtest_filter='ShardParity*:EngineParity*:CommitProof*:WriteRecord*'
+      --gtest_filter='ThreadParity*:EngineParity*:CommitProof*:WriteRecord*'
   "$root/build-tsan/tests/uc/test_uc_api" --gtest_filter='ProgramReuse*'
 }
 

@@ -2,13 +2,14 @@
 # Kill/resume soak harness for durable checkpoints (docs/ROBUSTNESS.md
 # "Durable checkpoints & resume").
 #
-# For each (program, engine, shard-count) configuration:
+# For each (program, engine, host-thread-count) configuration:
 #   1. run once uninterrupted with --checkpoint-dir, recording the program
 #      output and the modeled cycle count;
 #   2. SOAK_KILLS times: rerun with --die-at=<random statement> (the VM
 #      raises SIGKILL there — no unwind, no flush), then `ucc run --resume`
-#      and assert the final output AND modeled cycles are bit-identical to
-#      the uninterrupted run;
+#      at the next thread count in SOAK_THREADS (host threads are not part
+#      of the snapshot's identity) and assert the final output AND modeled
+#      cycles are bit-identical to the uninterrupted run;
 #   3. on the first kill of each configuration, flip a byte in the newest
 #      on-disk generation before resuming, proving the CRC check skips it
 #      and the resume falls back to an older intact generation.
@@ -21,7 +22,7 @@
 #   SOAK_KILLS   kill/resume iterations per config   (default: 3)
 #   SOAK_PROGS   programs under programs/ to soak    (default: fig6/7/8)
 #   SOAK_ENGINES VM engines to soak                  (default: walk bytecode)
-#   SOAK_SHARDS  shard counts to soak                (default: 1 4)
+#   SOAK_THREADS host thread counts to soak          (default: 1 4)
 #   SOAK_SEED    RNG seed for kill-point selection   (default: 1)
 set -euo pipefail
 
@@ -31,7 +32,7 @@ ucc="$build/tools/ucc"
 kills="${SOAK_KILLS:-3}"
 progs="${SOAK_PROGS:-fig6_shortest_path_on2 fig7_shortest_path_on3 fig8_grid_obstacle}"
 engines="${SOAK_ENGINES:-walk bytecode}"
-shard_counts="${SOAK_SHARDS:-1 4}"
+thread_counts="${SOAK_THREADS:-1 4}"
 RANDOM="${SOAK_SEED:-1}"
 every=8
 
@@ -62,10 +63,16 @@ for prog in $progs; do
   src="$root/programs/$prog.uc"
   [ -f "$src" ] || fail "no such program $src"
   for engine in $engines; do
-    for shards in $shard_counts; do
+    for threads in $thread_counts; do
       configs=$((configs + 1))
-      cfg="$prog/$engine/shards=$shards"
-      common=(--engine="$engine" --shards="$shards" --checkpoint-every=$every)
+      # The resume leg runs at the next thread count (cyclically).
+      resume_threads="$(echo $thread_counts $thread_counts |
+          awk -v t="$threads" '{ for (i = 1; i < NF; i++)
+                                   if ($i == t) { print $(i + 1); exit } }')"
+      cfg="$prog/$engine/threads=$threads->$resume_threads"
+      common=(--engine="$engine" --threads="$threads" --checkpoint-every=$every)
+      resume=(--engine="$engine" --threads="$resume_threads"
+              --checkpoint-every=$every)
 
       rm -rf "$tmp/base"
       "$ucc" run "$src" "${common[@]}" --checkpoint-dir="$tmp/base" --stats \
@@ -101,7 +108,7 @@ for prog in $progs; do
           expect_fallback=1
         fi
 
-        "$ucc" run "$src" "${common[@]}" --resume="$tmp/ck" --stats \
+        "$ucc" run "$src" "${resume[@]}" --resume="$tmp/ck" --stats \
             >"$tmp/res.out" 2>"$tmp/res.err" ||
             fail "$cfg: resume after --die-at=$die failed:" \
                  "$(cat "$tmp/res.err")"

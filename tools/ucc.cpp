@@ -28,8 +28,6 @@
 //   --seed=<n>              machine RNG seed (default 1)
 //   --procs=<n>             physical processors (default 16384)
 //   --threads=<n>           host threads for the data-parallel runtime
-//   --shards=<n>            VP-set shards (0 = one per thread; default 1;
-//                           host-only: outputs and cycles are unchanged)
 //   --no-mappings           ignore map sections
 //   --no-procopt            disable the §4 processor optimisation
 //   --fold / --no-fold      constant folding (default on)
@@ -115,9 +113,8 @@ int usage() {
       "                        bytecode; native compiles lane kernels to a\n"
       "                        cached .so with the host toolchain)\n"
       "  --native-cache-dir=<dir>  native: compiled-kernel cache directory\n"
-      "                        (default $UC_NATIVE_CACHE_DIR or /tmp)\n"
-      "  --native-cc=<cc>      native: compiler driver (default\n"
-      "                        $UC_NATIVE_CC or c++)\n"
+      "                        (default: a per-user dir under /tmp)\n"
+      "  --native-cc=<cc>      native: compiler driver (default c++)\n"
       "  --fuse=<on|off>       statement fusion + plan cache (default on)\n"
       "  --repeat=<n>          bench: median of n timed runs after one\n"
       "                        untimed warmup (default 1)\n"
@@ -125,7 +122,6 @@ int usage() {
       "  --seed=<n>            machine RNG seed (default 1)\n"
       "  --procs=<n>           physical processors (default 16384)\n"
       "  --threads=<n>         host threads for the runtime\n"
-      "  --shards=<n>          VP-set shards (0 = one per thread)\n"
       "  --no-mappings         ignore map sections\n"
       "  --no-procopt          disable the processor optimisation\n"
       "  --fold / --no-fold    constant folding (default on)\n"
@@ -303,9 +299,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.machine.cost.physical_processors = v;
     } else if (int_value("--threads=", v)) {
       opts.machine.host_threads = static_cast<unsigned>(v);
-    } else if (int_value("--shards=", v, /*allow_zero=*/true)) {
-      // 0 = one shard per host thread (docs/SHARDING.md).
-      opts.machine.shards = static_cast<unsigned>(v);
     } else if (str_value("--faults=", sv)) {
       try {
         opts.machine.faults = uc::cm::parse_fault_spec(sv);
