@@ -653,8 +653,9 @@ Value Impl::eval_call(const lang::CallExpr& e, EvalCtx& ctx) {
       case BuiltinId::kAbs: {
         Value v = eval(*e.args[0], ctx);
         if (ctx.undef) return v;
-        return v.is_float ? Value::of_float(std::fabs(v.f))
-                          : Value::of_int(v.i < 0 ? -v.i : v.i);
+        return v.is_float
+                   ? Value::of_float(std::fabs(v.f))
+                   : Value::of_int(v.i < 0 ? support::wrap_neg(v.i) : v.i);
       }
       case BuiltinId::kMin2:
       case BuiltinId::kMax2: {

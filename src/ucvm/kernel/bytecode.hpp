@@ -43,9 +43,8 @@ enum class Op : std::uint8_t {
   kArrLoad,         // r[dst] = arrays[a].load(r[b])
   kArrGet,          // fused kArrIndex + kClassify + kArrLoad (rvalue reads)
   kClassify,        // classify access to arrays[a] element r[b]
-  kBroadcastCheck,  // arrays[a] replicated => ++stats.broadcast
-  kArrStore,        // buffer write of r[c] to arrays[a] element r[b]
-  kArrPut,          // fused kClassify (+ kBroadcastCheck, arg bit0) + kArrStore
+  kArrPut,          // classify arrays[a] element r[b] (arg bit0: and count a
+                    // broadcast if replicated), buffer the write of r[c]
   kUnary,           // r[dst] = unary<arg>(r[a])
   kBinary,          // r[dst] = binary<arg>(r[a], r[b]); div/mod errors
   kIncDec,          // r[dst] = r[a] +/- 1 (arg bit0: increment)

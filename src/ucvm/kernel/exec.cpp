@@ -5,6 +5,7 @@
 // the engine_parity test suite holds the two engines to byte identity.
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "ucvm/kernel/kernel.hpp"
 
@@ -80,8 +81,8 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
         if (s->elems[kk] == sym) {
           elems_[i].vals = s->elem_vals.data();
           elems_[i].depth = depth;
-          elems_[i].k = static_cast<std::uint16_t>(kk);
-          elems_[i].width = static_cast<std::uint16_t>(s->elems.size());
+          elems_[i].k = static_cast<std::int64_t>(kk);
+          elems_[i].width = static_cast<std::int64_t>(s->elems.size());
           max_depth_ = std::max(max_depth_, depth);
           found = true;
           break;
@@ -95,69 +96,55 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
   scalars_.resize(k.scalars.size());
   for (std::size_t i = 0; i < k.scalars.size(); ++i) {
     const Symbol* sym = k.scalars[i].sym;
-    LinkedScalar& ls = scalars_[i];
+    const auto slot = static_cast<std::size_t>(sym->slot);
+    native::NScalar& ns = scalars_[i];
+    ns = native::NScalar{};
     if (sym->kind == SymbolKind::kGlobalVar) {
-      ls.home = ScalarHome::kGlobal;
-      ls.slot = sym->slot;
-      ls.value = &vm_.globals[static_cast<std::size_t>(sym->slot)].scalar;
+      ns.store = &vm_.globals[slot].scalar;
       continue;
     }
     // Per-lane storage if any ancestor space declared the slot, matching
     // LaneSpace::find_local; otherwise it is a frame scalar.
-    bool lane_local = false;
     for (std::int32_t depth = 0; depth < kMaxDepth; ++depth) {
       LaneSpace* s = space_at(depth);
       if (s == nullptr) break;
       auto it = s->locals.find(sym->slot);
       if (it != s->locals.end()) {
-        ls.home = ScalarHome::kLaneLocal;
-        ls.slot = sym->slot;
-        ls.depth = depth;
-        ls.owner = s;
-        ls.store = &it->second;
+        ns.home = native::kHomeLaneLocal;
+        ns.depth = depth;
+        ns.store = it->second.data();
         max_depth_ = std::max(max_depth_, depth);
-        lane_local = true;
         break;
       }
     }
-    if (lane_local) continue;
-    if (frame == nullptr ||
-        static_cast<std::size_t>(sym->slot) >= frame->slots.size()) {
-      return false;
-    }
-    ls.home = ScalarHome::kFrame;
-    ls.slot = sym->slot;
-    ls.depth = 0;
-    ls.owner = nullptr;
-    ls.store = nullptr;
-    ls.value = &frame->slots[static_cast<std::size_t>(sym->slot)].scalar;
+    if (ns.home == native::kHomeLaneLocal) continue;
+    if (frame == nullptr || slot >= frame->slots.size()) return false;
+    ns.home = native::kHomeFrame;
+    ns.store = &frame->slots[slot].scalar;
   }
 
+  static_assert(std::size(native::NReduce{}.sizes) == kMaxReduceSets);
+  const std::size_t base_dims = space.frontend ? 0 : space.dims.size();
   reduces_.resize(k.reduces.size());
   for (std::size_t i = 0; i < k.reduces.size(); ++i) {
     const auto* expr = k.reduces[i].expr;
-    LinkedReduce& lr = reduces_[i];
-    lr.expr = expr;
-    lr.n_sets = expr->index_set_syms.size();
-    lr.prod = 1;
-    for (std::size_t s = 0; s < lr.n_sets; ++s) {
+    const std::size_t n_sets = expr->index_set_syms.size();
+    if (base_dims + n_sets > 8) return false;  // coords buffer: the walk
+    native::NReduce& nr = reduces_[i];
+    nr = native::NReduce{};
+    for (std::size_t s = 0; s < n_sets; ++s) {
       const auto* info = expr->index_set_syms[s]->index_set;
-      lr.values[s] = &info->values;
-      lr.sizes[s] = static_cast<std::int64_t>(info->values.size());
-      lr.prod *= lr.sizes[s];
+      nr.values[s] = info->values.data();
+      nr.sizes[s] = static_cast<std::int64_t>(info->values.size());
+      nr.prod *= nr.sizes[s];
     }
-    lr.flt = expr->type.is_float();
-    lr.op = expr->op;
-    lr.base_dims = space.frontend ? 0 : space.dims.size();
-    lr.n_dims = lr.base_dims + lr.n_sets;
-    if (lr.n_dims > 8) return false;  // coords buffer; fall back to the walk
+    nr.base_dims = static_cast<std::int64_t>(base_dims);
   }
 
   arrays_.resize(k.arrays.size());
+  array_objs_.resize(k.arrays.size());
   for (std::size_t i = 0; i < k.arrays.size(); ++i) {
     const Symbol* sym = k.arrays[i].sym;
-    LinkedArray& la = arrays_[i];
-    la.reduce = k.arrays[i].reduce;
     const FrameSlot* slot = nullptr;
     if (sym->kind == SymbolKind::kGlobalVar) {
       slot = &vm_.globals[static_cast<std::size_t>(sym->slot)];
@@ -169,36 +156,38 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
         slot->array == nullptr) {
       return false;  // walk raises "used before its declaration executed"
     }
-    la.keepalive = slot->array;
-    la.arr = la.keepalive.get();
-    la.data = la.arr->raw_data();
-    la.owners = la.arr->owner_data();
-    la.adims = la.arr->dims().data();
-    la.astrides = la.arr->strides().data();
-    la.rank = static_cast<std::uint32_t>(la.arr->dims().size());
-    la.flt = la.arr->is_float();
-    la.slice = la.arr->is_slice();
-    // The access mode is a per-statement invariant: mappings only change
-    // between statements (map sections are front-end-only).
+    array_objs_[i] = slot->array;
+    const ArrayObj& arr = *slot->array;
+    native::NArray& na = arrays_[i];
+    na = native::NArray{};
+    na.data = arr.raw_data();
+    na.owners = arr.owner_data();
+    na.adims = arr.dims().data();
+    na.astrides = arr.strides().data();
+    na.rank = static_cast<std::int64_t>(arr.dims().size());
+    na.slice = arr.is_slice() ? 1 : 0;
+    na.replicated = arr.replicated() ? 1 : 0;
+    na.flt = arr.is_float() ? 1 : 0;
     if (space.frontend) {
-      la.mode = AccMode::kFrontend;
+      na.mode = native::kAccFrontend;
       continue;
     }
-    if (la.arr->replicated()) {
-      la.mode = AccMode::kLocalReplicated;
+    if (na.replicated) {
+      na.mode = native::kAccLocal;
       continue;
     }
-    la.mode = AccMode::kRemote;
-    if (la.reduce >= 0) {
-      const LinkedReduce& lr = reduces_[static_cast<std::size_t>(la.reduce)];
-      la.geom_matches =
-          geom_equals(space.dims, lr.base_dims, lr.sizes, lr.n_sets,
-                      la.arr->dims());
+    bool geom_matches;
+    if (const std::int32_t r = k.arrays[i].reduce; r >= 0) {
+      const native::NReduce& nr = reduces_[static_cast<std::size_t>(r)];
+      geom_matches = geom_equals(
+          space.dims, base_dims, nr.sizes,
+          k.reduces[static_cast<std::size_t>(r)].expr->index_set_syms.size(),
+          arr.dims());
     } else {
-      la.geom_matches =
-          space.dims.size() <= 8 && space.dims == la.arr->dims();
+      geom_matches = space.dims.size() <= 8 && space.dims == arr.dims();
     }
-    if (la.geom_matches) la.vp_coords = la.arr->coord_table();
+    na.geom_matches = geom_matches ? 1 : 0;
+    if (geom_matches) na.vp_coords = arr.coord_table();
   }
 
   if (max_depth_ >= kMaxDepth) return false;
@@ -209,7 +198,7 @@ bool Engine::link(const Kernel& k, LaneSpace& space, Frame* frame) {
   for (std::size_t a = 1; a < arrays_.size() && !storage_aliased_; ++a) {
     for (std::size_t b = 0; b < a; ++b) {
       if (k.arrays[a].sym != k.arrays[b].sym &&
-          arrays_[a].arr->storage_root() == arrays_[b].arr->storage_root()) {
+          array_objs_[a]->storage_root() == array_objs_[b]->storage_root()) {
         storage_aliased_ = true;
         break;
       }
@@ -247,81 +236,18 @@ bool Engine::commit_provable(const Kernel& k, const LaneSpace& space) {
   return true;
 }
 
-void Engine::classify_site(const LinkedArray& la, std::int64_t flat,
-                           std::int64_t lane_vp,
-                           const std::int64_t* lane_coords,
-                           const ReduceState& rs, AccessStats& stats) const {
-  // Inside a partition-optimised reduction accesses are already paid for
-  // by the send-with-combine charge (walk: suppress_comm).
-  if (la.reduce >= 0 && rs.suppress) return;
-  switch (la.mode) {
-    case AccMode::kFrontend:
-      ++stats.frontend;
-      return;
-    case AccMode::kLocalReplicated:
-      ++stats.local;
-      return;
-    case AccMode::kRemote: {
-      std::int64_t vp;
-      const std::int64_t* coords;
-      if (la.reduce >= 0) {
-        vp = rs.vp;
-        coords = rs.coords;
-      } else {
-        vp = lane_vp;
-        coords = lane_coords;
-      }
-      // Inlined classify_remote_access over the linked caches (identical
-      // decision order: local, slice->router, NEWS when the geometry
-      // matches, router otherwise).
-      const cm::VpIndex owner = la.owners[flat];
-      if (owner == vp) {
-        ++stats.local;
-        return;
-      }
-      if (la.slice) {
-        ++stats.router;
-        return;
-      }
-      if (la.geom_matches) {
-        // geom_matches implies the lane geometry equals the array shape,
-        // so la.rank coordinates cover both; the precomputed coord table
-        // replaces the per-access unflatten division.
-        const std::int64_t* oc =
-            la.vp_coords + static_cast<std::size_t>(owner) * la.rank;
-        int diff_axes = 0;
-        std::int64_t hops = 0;
-        for (std::uint32_t d = 0; d < la.rank; ++d) {
-          if (oc[d] != coords[d]) {
-            ++diff_axes;
-            hops = oc[d] < coords[d] ? coords[d] - oc[d] : oc[d] - coords[d];
-          }
-        }
-        if (diff_axes == 1) {
-          const cm::CostModel& cost = vm_.machine.cost_model();
-          if (static_cast<std::uint64_t>(hops) * cost.news_op <=
-              cost.router_op) {
-            ++stats.news;
-            stats.news_max_hops = std::max(
-                stats.news_max_hops, static_cast<std::uint64_t>(hops));
-            return;
-          }
-        }
-      }
-      ++stats.router;
-      return;
-    }
-  }
-}
-
 void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
                       std::int64_t result_slot, std::uint64_t stmt_id,
                       Arena& arena, std::vector<Value>& results) {
   Value* regs = arena.regs.data();
-  const LinkedElem* elems = elems_.data();
-  const LinkedScalar* scalars = scalars_.data();
-  const LinkedArray* arrays = arrays_.data();
-  const LinkedReduce* reduces = reduces_.data();
+  const native::NElem* elems = elems_.data();
+  const native::NScalar* scalars = scalars_.data();
+  const native::NArray* arrays = arrays_.data();
+  const native::NReduce* reduces = reduces_.data();
+  const ArrayRef* array_refs = k.arrays.data();
+  const cm::CostModel& cost = vm_.machine.cost_model();
+  const std::uint64_t news_op = cost.news_op;
+  const std::uint64_t router_op = cost.router_op;
 
   // Translate this lane into every ancestor space the kernel touches.
   std::int64_t lanes[kMaxDepth];
@@ -333,6 +259,9 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
 
   // Per-lane VP and coordinates, computed once (classification and
   // reductions reuse them instead of re-indexing the space per access).
+  // An access site inside a reduction's arms classifies against the
+  // reduction tuple instead, and is suppressed when the reduction is
+  // partition-optimised.
   const std::int64_t lane_vp =
       space.frontend ? 0 : space.vps[static_cast<std::size_t>(lane)];
   const std::size_t n_dims = space.dims.size();
@@ -352,6 +281,13 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
   // communication is attributed (and charged) separately.
   AccessStats* stats_cur = arena.stats.data();
   ReduceState& rs = arena.rs;
+  auto classify = [&](std::uint16_t site, std::int64_t flat) {
+    const bool in_reduce = array_refs[site].reduce >= 0;
+    native::uc_classify(arrays[site], in_reduce && rs.suppress, flat,
+                        in_reduce ? rs.vp : lane_vp,
+                        in_reduce ? rs.coords : lane_coords, news_op,
+                        router_op, stats_cur);
+  };
   const Inst* code = k.code.data();
   std::size_t ip = 0;
   for (;;) {
@@ -367,7 +303,7 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         regs[I.dst] = Value::of_bool(regs[I.a].truthy());
         break;
       case Op::kLoadElem: {
-        const LinkedElem& le = elems[I.a];
+        const native::NElem& le = elems[I.a];
         regs[I.dst] = Value::of_int(
             le.vals[static_cast<std::size_t>(lanes[le.depth]) * le.width +
                     le.k]);
@@ -377,22 +313,20 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         regs[I.dst] = Value::of_int(rs.elem_vals[I.b]);
         break;
       case Op::kLoadScalar: {
-        const LinkedScalar& ls = scalars[I.a];
-        regs[I.dst] =
-            ls.home == ScalarHome::kLaneLocal
-                ? (*ls.store)[static_cast<std::size_t>(lanes[ls.depth])]
-                : *ls.value;
+        const native::NScalar& ls = scalars[I.a];
+        regs[I.dst] = static_cast<const Value*>(
+            ls.store)[ls.home == native::kHomeLaneLocal ? lanes[ls.depth] : 0];
         break;
       }
       case Op::kStoreScalar: {
-        const LinkedScalar& ls = scalars[I.a];
+        const native::NScalar& ls = scalars[I.a];
         arena.writes.push_back(WriteRec::of(
-            ip, ls.home == ScalarHome::kLaneLocal ? lanes[ls.depth] : 0,
+            ip, ls.home == native::kHomeLaneLocal ? lanes[ls.depth] : 0,
             regs[I.b]));
         break;
       }
       case Op::kArrIndex: {
-        const LinkedArray& la = arrays[I.a];
+        const native::NArray& la = arrays[I.a];
         // Inlined ArrayObj::flatten over the linked dim/stride caches.
         std::int64_t flat = I.c == la.rank ? 0 : -1;
         for (std::uint16_t j = 0; flat >= 0 && j < I.c; ++j) {
@@ -404,7 +338,7 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
           flat += ix * la.astrides[j];
         }
         if (flat < 0) {
-          std::string what = la.arr->name();
+          std::string what = array_objs_[I.a]->name();
           for (std::uint16_t j = 0; j < I.c; ++j) {
             what += "[" + std::to_string(regs[I.b + j].as_int()) + "]";
           }
@@ -415,8 +349,8 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         break;
       }
       case Op::kArrLoad: {
-        const LinkedArray& la = arrays[I.a];
-        regs[I.dst] = Value::from_bits(la.data[regs[I.b].i], la.flt);
+        const native::NArray& la = arrays[I.a];
+        regs[I.dst] = Value::from_bits(la.data[regs[I.b].i], la.flt != 0);
         break;
       }
       case Op::kArrGet: {
@@ -424,7 +358,7 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         // dispatch, and the flat index stays in a local instead of a
         // register round-trip.  Order (bounds check, classify, load) and
         // the error site match the unfused sequence exactly.
-        const LinkedArray& la = arrays[I.a];
+        const native::NArray& la = arrays[I.a];
         std::int64_t flat = I.c == la.rank ? 0 : -1;
         for (std::uint16_t j = 0; flat >= 0 && j < I.c; ++j) {
           const std::int64_t ix = regs[I.b + j].as_int();
@@ -435,35 +369,26 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
           flat += ix * la.astrides[j];
         }
         if (flat < 0) {
-          std::string what = la.arr->name();
+          std::string what = array_objs_[I.a]->name();
           for (std::uint16_t j = 0; j < I.c; ++j) {
             what += "[" + std::to_string(regs[I.b + j].as_int()) + "]";
           }
           vm_.runtime_error(I.where,
                             "array subscript out of range: " + what);
         }
-        classify_site(la, flat, lane_vp, lane_coords, rs, *stats_cur);
-        regs[I.dst] = Value::from_bits(la.data[flat], la.flt);
+        classify(I.a, flat);
+        regs[I.dst] = Value::from_bits(la.data[flat], la.flt != 0);
         break;
       }
       case Op::kClassify:
-        classify_site(arrays[I.a], regs[I.b].i, lane_vp, lane_coords, rs,
-                      *stats_cur);
-        break;
-      case Op::kBroadcastCheck:
-        // Walk: writes to a replicated array broadcast, independent of the
-        // suppress/frontend classification short-circuit.
-        if (arrays[I.a].arr->replicated()) ++stats_cur->broadcast;
-        break;
-      case Op::kArrStore:
-        arena.writes.push_back(WriteRec::of(ip, regs[I.b].i, regs[I.c]));
+        classify(I.a, regs[I.b].i);
         break;
       case Op::kArrPut: {
-        // Fused kClassify (+ kBroadcastCheck when arg bit0) + kArrStore.
-        const LinkedArray& la = arrays[I.a];
         const std::int64_t flat = regs[I.b].i;
-        classify_site(la, flat, lane_vp, lane_coords, rs, *stats_cur);
-        if ((I.arg & 1) != 0 && la.arr->replicated()) ++stats_cur->broadcast;
+        classify(I.a, flat);
+        // Walk: writes to a replicated array broadcast, independent of the
+        // suppress/frontend classification short-circuit.
+        if ((I.arg & 1) != 0 && arrays[I.a].replicated) ++stats_cur->broadcast;
         arena.writes.push_back(WriteRec::of(ip, flat, regs[I.c]));
         break;
       }
@@ -565,8 +490,9 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         break;
       case Op::kAbs: {
         const Value& v = regs[I.a];
-        regs[I.dst] = v.is_float ? Value::of_float(std::fabs(v.f))
-                                 : Value::of_int(v.i < 0 ? -v.i : v.i);
+        regs[I.dst] =
+            v.is_float ? Value::of_float(std::fabs(v.f))
+                       : Value::of_int(v.i < 0 ? support::wrap_neg(v.i) : v.i);
         break;
       }
       case Op::kMinMax: {
@@ -598,13 +524,17 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         break;
       }
       case Op::kReduceBegin: {
-        const LinkedReduce& R = reduces[I.a];
+        const native::NReduce& R = reduces[I.a];
+        const lang::ReduceExpr& expr = *k.reduces[I.a].expr;
         rs.info = &R;
-        rs.acc = reduce_identity_value(R.op, R.flt);
+        rs.op = expr.op;
+        rs.flt = expr.type.is_float();
+        rs.n_sets = expr.index_set_syms.size();
+        rs.acc = reduce_identity_value(rs.op, rs.flt);
         rs.any = false;
         rs.enabled_any = false;
         rs.tuple = 0;
-        rs.suppress = R.expr->partition_optimized == 1;
+        rs.suppress = R.suppress != 0;
         rs.parent_vp = lane_vp;
         if (R.prod == 0) {
           ip = static_cast<std::size_t>(I.jump);  // straight to kReduceEnd
@@ -612,12 +542,12 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         }
         // base_dims == n_dims for non-frontend spaces (and 0 on the
         // frontend), so the lane coordinate pointer covers the copy.
-        for (std::size_t d = 0; d < R.base_dims; ++d) {
+        for (std::int64_t d = 0; d < R.base_dims; ++d) {
           rs.coords[d] = lane_coords[d];
         }
-        for (std::size_t s = 0; s < R.n_sets; ++s) {
+        for (std::size_t s = 0; s < rs.n_sets; ++s) {
           rs.pos[s] = 0;
-          rs.elem_vals[s] = (*R.values[s])[0];
+          rs.elem_vals[s] = R.values[s][0];
           rs.coords[R.base_dims + s] = 0;
         }
         rs.vp = rs.parent_vp * R.prod;
@@ -625,7 +555,7 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
       }
       case Op::kReduceFold: {
         const Value& v = regs[I.a];
-        const ReduceKind op = rs.info->op;
+        const ReduceKind op = rs.op;
         if (op == ReduceKind::kArb) {
           if (!rs.any) rs.acc = v;
         } else if (!rs.acc.is_float && !v.is_float &&
@@ -652,16 +582,16 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         }
         break;
       case Op::kReduceNext: {
-        const LinkedReduce& R = *rs.info;
+        const native::NReduce& R = *rs.info;
         rs.enabled_any = false;
         if (++rs.tuple >= R.prod) break;  // falls through to kReduceEnd
-        for (std::size_t s = R.n_sets; s-- > 0;) {
+        for (std::size_t s = rs.n_sets; s-- > 0;) {
           if (++rs.pos[s] < static_cast<std::size_t>(R.sizes[s])) break;
           rs.pos[s] = 0;
         }
         std::int64_t tuple_flat = 0;
-        for (std::size_t s = 0; s < R.n_sets; ++s) {
-          rs.elem_vals[s] = (*R.values[s])[rs.pos[s]];
+        for (std::size_t s = 0; s < rs.n_sets; ++s) {
+          rs.elem_vals[s] = R.values[s][rs.pos[s]];
           rs.coords[R.base_dims + s] = static_cast<std::int64_t>(rs.pos[s]);
           tuple_flat =
               tuple_flat * R.sizes[s] + static_cast<std::int64_t>(rs.pos[s]);
@@ -671,8 +601,7 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         continue;
       }
       case Op::kReduceEnd:
-        regs[I.dst] = rs.info->flt ? Value::of_float(rs.acc.as_float())
-                                   : rs.acc;
+        regs[I.dst] = rs.flt ? Value::of_float(rs.acc.as_float()) : rs.acc;
         break;
       case Op::kMemberBoundary:
         // Entering member I.a of a fused group: its stats land in their
@@ -711,6 +640,11 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
   // through here, so one hook covers every dispatch.  A false return
   // (emitter declined, toolchain missing, assumption mismatch, runtime
   // error flagged) leaves the arenas reset and falls through to bytecode.
+  // The charge step decides the partition optimisation (paper §4), and a
+  // fused group pays its charges after link: read the decision here.
+  for (std::size_t i = 0; i < reduces_.size(); ++i) {
+    reduces_[i].suppress = k.reduces[i].expr->partition_optimized == 1;
+  }
   if (vm_.opts.engine == ExecEngine::kNative &&
       run_lanes_native(k, space, active, stmt_id, results)) {
     return;
@@ -738,23 +672,23 @@ Write Engine::decode(const WriteRec& r) const {
   w.where = I.where;
   if (I.op != Op::kStoreScalar) {
     w.target.kind = WriteTarget::Kind::kArray;
-    w.target.obj = arrays_[I.a].arr;
+    w.target.obj = array_objs_[I.a].get();
     w.target.index = r.index;
     return w;
   }
-  const LinkedScalar& ls = scalars_[I.a];
-  w.target.index = ls.slot;
+  const native::NScalar& ls = scalars_[I.a];
+  w.target.index = linked_->scalars[I.a].sym->slot;
   switch (ls.home) {
-    case ScalarHome::kGlobal:
+    case native::kHomeGlobal:
       w.target.kind = WriteTarget::Kind::kGlobal;
       break;
-    case ScalarHome::kFrame:
+    case native::kHomeFrame:
       w.target.kind = WriteTarget::Kind::kFrame;
       w.target.obj = linked_frame_;
       break;
-    case ScalarHome::kLaneLocal:
+    default:
       w.target.kind = WriteTarget::Kind::kLaneLocal;
-      w.target.obj = ls.owner;
+      w.target.obj = depth_spaces_[static_cast<std::size_t>(ls.depth)];
       w.target.lane = r.index;
       break;
   }
@@ -795,9 +729,9 @@ void Engine::commit_buffered() {
   for (const auto& a : arenas_) total_writes += a.writes.size();
   if (total_writes == 0) return;
   // Translate each linked array once per commit, not once per write.
-  sinks_.resize(arrays_.size());
-  for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    const ArrayObj& arr = *arrays_[i].arr;
+  sinks_.resize(array_objs_.size());
+  for (std::size_t i = 0; i < array_objs_.size(); ++i) {
+    const ArrayObj& arr = *array_objs_[i];
     cm::Field& field = arr.field();
     sinks_[i] = ArraySink{field.raw().data(), field.defined_raw().data(),
                           &field, arr.slice_offset(), field.size(),

@@ -1,8 +1,9 @@
 // The lane-kernel engine: compile-once-per-statement bytecode execution
 // for eval_lanes (docs/VM.md).  One Engine lives inside each vm Impl and
-// holds only per-run state: the per-execution link tables, the per-worker
-// arenas that make steady-state lane execution allocation-free, and the
-// run's counters.  Compiled kernels and loaded native entry points come
+// holds only per-run state: the per-execution link tables (the lane ABI's
+// records, native/abi.hpp, which bytecode and native lanes both read), the
+// per-worker arenas that make steady-state lane execution allocation-free,
+// and the run's counters.  Compiled kernels and loaded native entry points come
 // from the run's vm::KernelCache, which may outlive the run.
 #pragma once
 
@@ -72,56 +73,12 @@ class Engine {
   std::uint64_t native_fallbacks() const { return native_fallbacks_; }
 
  private:
-  // --- linked (per-execution) operand forms ---
-  struct LinkedElem {
-    const std::int64_t* vals = nullptr;  // owning space's elem_vals.data()
-    std::int32_t depth = 0;   // spaces up from the statement space
-    std::uint16_t k = 0;      // position within that space's elems
-    std::uint16_t width = 0;  // that space's elems.size()
-  };
-  enum class ScalarHome : std::uint8_t { kGlobal, kFrame, kLaneLocal };
-  struct LinkedScalar {
-    ScalarHome home = ScalarHome::kGlobal;
-    std::int32_t slot = 0;
-    std::int32_t depth = 0;               // kLaneLocal: spaces up
-    LaneSpace* owner = nullptr;           // kLaneLocal
-    std::vector<Value>* store = nullptr;  // kLaneLocal: owner->locals[slot]
-    const Value* value = nullptr;         // kGlobal/kFrame: the slot's scalar
-                                          // (stable: writes are buffered)
-  };
-  enum class AccMode : std::uint8_t { kFrontend, kLocalReplicated, kRemote };
-  struct LinkedArray {
-    ArrayObj* arr = nullptr;
-    ArrayPtr keepalive;  // owning handle for the statement's duration
-    AccMode mode = AccMode::kRemote;
-    bool geom_matches = false;  // lane dims == array dims (and rank <= 8)
-    std::int32_t reduce = -1;
-    // Hot-loop caches (valid for the statement: no allocation happens
-    // while lanes run, so the pointers stay stable).
-    const cm::Bits* data = nullptr;
-    const cm::VpIndex* owners = nullptr;
-    const std::int64_t* vp_coords = nullptr;  // geom_matches: coord_table()
-    const std::int64_t* adims = nullptr;
-    const std::int64_t* astrides = nullptr;
-    std::uint32_t rank = 0;
-    bool flt = false;
-    bool slice = false;
-  };
-  struct LinkedReduce {
-    const lang::ReduceExpr* expr = nullptr;
-    std::size_t n_sets = 0;
-    const std::vector<std::int64_t>* values[kMaxReduceSets] = {};
-    std::int64_t sizes[kMaxReduceSets] = {};
-    std::int64_t prod = 1;
-    bool flt = false;
-    lang::ReduceKind op = lang::ReduceKind::kAdd;
-    std::size_t base_dims = 0;  // outer dims copied into the inner coords
-    std::size_t n_dims = 0;     // base_dims + n_sets
-  };
-
   // --- per-lane reduction state (at most one live: no nesting) ---
   struct ReduceState {
-    const LinkedReduce* info = nullptr;
+    const native::NReduce* info = nullptr;
+    lang::ReduceKind op = lang::ReduceKind::kAdd;
+    bool flt = false;
+    std::size_t n_sets = 0;
     Value acc;
     bool any = false;
     bool enabled_any = false;
@@ -226,22 +183,27 @@ class Engine {
   void run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
                 std::int64_t result_slot, std::uint64_t stmt_id, Arena& arena,
                 std::vector<Value>& results);
-  void classify_site(const LinkedArray& la, std::int64_t flat,
-                     std::int64_t lane_vp, const std::int64_t* lane_coords,
-                     const ReduceState& rs, AccessStats& stats) const;
 
   Impl& vm_;
   KernelCache& kernels_;
   const Kernel* group_kernel_ = nullptr;  // linked by prepare_group
   // Link state, valid for the duration of one try_run call: the kernel and
-  // frame it was linked against, and its resolved operands.
+  // frame it was linked against, and its resolved operands.  The operand
+  // tables are the lane ABI's (native/abi.hpp): bytecode lanes read them
+  // and native kernels receive them as they are.  Members, not locals, so
+  // their heap capacity is reused across statements.
   const Kernel* linked_ = nullptr;
   Frame* linked_frame_ = nullptr;
-  std::vector<LinkedElem> elems_;
-  std::vector<LinkedScalar> scalars_;
-  std::vector<LinkedArray> arrays_;
-  std::vector<LinkedReduce> reduces_;
-  std::vector<LaneSpace*> depth_spaces_;  // [0]=statement space, then parents
+  std::vector<native::NElem> elems_;
+  std::vector<native::NScalar> scalars_;
+  std::vector<native::NArray> arrays_;
+  std::vector<native::NReduce> reduces_;
+  // Per linked array, the host object behind arrays_[i], owned for the
+  // statement's duration: error messages and commit need it.
+  std::vector<ArrayPtr> array_objs_;
+  // [0]=statement space, then parents; a lane-local scalar's storage
+  // belongs to depth_spaces_[its depth].
+  std::vector<LaneSpace*> depth_spaces_;
   std::int32_t max_depth_ = 0;
   // The linked kernel's buffered writes provably never share a target, so
   // commit_buffered() may apply them without the conflict table.
@@ -257,13 +219,6 @@ class Engine {
   // The cache's backend for this run's (cache dir, compiler), resolved at
   // the first native dispatch attempt.
   native::Backend* native_ = nullptr;
-  // Native dispatch tables, mirrored from the linked operand state on
-  // every dispatch.  Engine members (not locals) so their heap capacity
-  // is reused across statements like the link-state vectors above.
-  std::vector<native::NElem> nelems_;
-  std::vector<native::NScalar> nscalars_;
-  std::vector<native::NArray> narrays_;
-  std::vector<native::NReduce> nreduces_;
   native::PrepareCounts native_prepared_;
   std::uint64_t native_dispatches_ = 0;
   std::uint64_t native_fallbacks_ = 0;

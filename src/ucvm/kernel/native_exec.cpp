@@ -1,8 +1,8 @@
-// Native-tier dispatch: builds NativeArgs from the engine's linked operand
-// state and runs lane chunks through the compiled entry point, on the same
-// pool and with the same buffered-write spans as the pooled bytecode path
-// so commit order and stats attribution are identical (docs/VM.md "Native
-// tier").
+// Native-tier dispatch: hands the engine's link tables, which are the lane
+// ABI's records (native/abi.hpp), to the compiled entry point as they are,
+// and runs lane chunks on the same pool and with the same buffered-write
+// spans as the pooled bytecode path, so commit order and stats attribution
+// are identical (docs/VM.md "Native tier").
 #include <atomic>
 
 #include "ucvm/kernel/kernel.hpp"
@@ -36,90 +36,32 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
 
   // Validate the emit-time representation assumptions against the linked
   // state.  The static types come from sema, so mismatches only happen for
-  // lane-local scalars whose dynamic Value drifted from its declared kind;
-  // those statements run on the bytecode tier (identical results).
+  // scalars whose dynamic Value drifted from the declared kind; those
+  // statements run on the bytecode tier (identical results).
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (arrays_[i].flt != (prep->array_flt[i] != 0)) {
+    if (arrays_[i].flt != prep->array_flt[i]) {
       ++native_fallbacks_;
       return false;
     }
   }
   for (std::size_t i = 0; i < scalars_.size(); ++i) {
-    const LinkedScalar& ls = scalars_[i];
+    const native::NScalar& ns = scalars_[i];
     const bool want = prep->scalar_flt[i] != 0;
-    if (ls.home == ScalarHome::kLaneLocal) {
-      for (const Value& v : *ls.store) {
-        if (v.is_float != want) {
-          ++native_fallbacks_;
-          return false;
-        }
+    const auto* store = static_cast<const Value*>(ns.store);
+    const std::size_t n =
+        ns.home == native::kHomeLaneLocal
+            ? depth_spaces_[static_cast<std::size_t>(ns.depth)]
+                  ->locals.at(linked_->scalars[i].sym->slot)
+                  .size()
+            : 1;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (store[j].is_float != want) {
+        ++native_fallbacks_;
+        return false;
       }
-    } else if (ls.value->is_float != want) {
-      ++native_fallbacks_;
-      return false;
     }
   }
 
-  // Link-dependent dispatch tables, mirrored field by field from the
-  // engine's linked operand state into member vectors whose capacity
-  // persists across statements.
-  nelems_.resize(elems_.size());
-  for (std::size_t i = 0; i < elems_.size(); ++i) {
-    nelems_[i].vals = elems_[i].vals;
-    nelems_[i].k = elems_[i].k;
-    nelems_[i].width = elems_[i].width;
-    nelems_[i].depth = elems_[i].depth;
-  }
-  nscalars_.resize(scalars_.size());
-  for (std::size_t i = 0; i < scalars_.size(); ++i) {
-    const LinkedScalar& ls = scalars_[i];
-    native::NScalar& ns = nscalars_[i];
-    ns.slot = ls.slot;
-    ns.depth = ls.depth;
-    switch (ls.home) {
-      case ScalarHome::kGlobal:
-        ns.home = 0;
-        ns.i = ls.value->i;
-        ns.f = ls.value->f;
-        break;
-      case ScalarHome::kFrame:
-        ns.home = 1;
-        ns.i = ls.value->i;
-        ns.f = ls.value->f;
-        break;
-      case ScalarHome::kLaneLocal:
-        ns.home = 2;
-        ns.store = ls.store->data();
-        break;
-    }
-  }
-  narrays_.resize(arrays_.size());
-  for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    const LinkedArray& la = arrays_[i];
-    native::NArray& na = narrays_[i];
-    na.data = la.data;
-    na.owners = la.owners;
-    na.vp_coords = la.vp_coords;
-    na.adims = la.adims;
-    na.astrides = la.astrides;
-    na.rank = la.rank;
-    na.mode = static_cast<std::uint8_t>(la.mode);
-    na.geom_matches = la.geom_matches ? 1 : 0;
-    na.slice = la.slice ? 1 : 0;
-    na.replicated = la.arr->replicated() ? 1 : 0;
-  }
-  nreduces_.resize(reduces_.size());
-  for (std::size_t i = 0; i < reduces_.size(); ++i) {
-    const LinkedReduce& lr = reduces_[i];
-    native::NReduce& nr = nreduces_[i];
-    for (std::size_t s = 0; s < lr.n_sets; ++s) {
-      nr.values[s] = lr.values[s]->data();
-      nr.sizes[s] = lr.sizes[s];
-    }
-    nr.prod = lr.prod;
-    nr.base_dims = static_cast<std::int64_t>(lr.base_dims);
-    nr.suppress = lr.expr->partition_optimized == 1 ? 1 : 0;
-  }
   // Ancestor-lane translation tables, indexed by depth as in run_lane.
   const std::int64_t* parent_lanes[kMaxDepth] = {};
   for (std::int32_t d = 1; d <= max_depth_; ++d) {
@@ -134,7 +76,7 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
   auto body = [&](unsigned worker, std::int64_t b, std::int64_t e) {
     Arena& arena = arenas_[worker];
     const auto span_start = arena.writes.size();
-    native::NativeArgs args;
+    native::NArgs args;
     args.k_begin = b;
     args.k_end = e;
     args.active = active.data();
@@ -143,10 +85,10 @@ bool Engine::run_lanes_native(const Kernel& k, LaneSpace& space,
     args.n_dims = static_cast<std::int64_t>(space.dims.size());
     args.parent_lanes = parent_lanes;
     args.max_depth = max_depth_;
-    args.elems = nelems_.data();
-    args.scalars = nscalars_.data();
-    args.arrays = narrays_.data();
-    args.reduces = nreduces_.data();
+    args.elems = elems_.data();
+    args.scalars = scalars_.data();
+    args.arrays = arrays_.data();
+    args.reduces = reduces_.data();
     args.results = results.data();
     // The kernel writes its records in place after the arena's last one.
     args.writes = arena.writes.reserve_tail(static_cast<std::size_t>(e - b) *

@@ -436,9 +436,6 @@ class Optimizer {
         case Op::kClassify:
           use(inst.b);
           break;
-        case Op::kBroadcastCheck:
-          break;
-        case Op::kArrStore:
         case Op::kArrPut: {
           const void* sym = k_.arrays[inst.a].sym;
           if (written_arrays_.count(sym)) return false;
@@ -511,7 +508,6 @@ class Optimizer {
       case Op::kStoreScalar:
         needed[inst.b] = 1;
         break;
-      case Op::kArrStore:
       case Op::kArrPut:
         needed[inst.b] = 1;
         needed[inst.c] = 1;

@@ -1,94 +1,113 @@
-// ABI between the VM host and natively compiled lane kernels
-// (docs/VM.md "Native tier").  A kernel compiled into a shared object
-// exports two fixed symbols:
+// The lane ABI (docs/VM.md "Native tier"): the operand tables the VM's
+// link step fills, the access classifier and the lane helpers, defined
+// once for the bytecode executor and for natively compiled lane kernels.
 //
-//   extern "C" void uc_native_entry(NativeArgs*);
-//   extern "C" const NativeInfo uc_native_info;
+// The host includes this file as a normal header.  The native emitter
+// pastes its exact bytes at the top of every kernel it emits (the build
+// embeds them as a string literal, src/ucvm/CMakeLists.txt), so it includes
+// nothing and names only the compiler's predefined integer types, which
+// are the host's std::int64_t & co.  A compiled kernel exports two symbols:
 //
-// NativeArgs carries everything link-dependent — field pointers, coord
-// tables, scalar snapshots, the pool chunk's [k_begin, k_end) slice of the
-// active-lane list — so the emitted code bakes in only kernel-static
-// facts (instruction sequence, register types, pool constants, operand
-// table indices).  The same .so therefore stays valid across executions,
-// processes and mappings, which is what makes the on-disk cache sound.
+//   extern "C" void uc_native_entry(NArgs*);
+//   extern "C" const NInfo uc_native_info;
 //
-// The emitted source defines byte-identical mirrors of Value, WriteRec and
-// AccessStats and static_asserts their sizes/offsets against numbers the
-// emitter measured in the host process; a layout drift fails the emitted
-// compile instead of corrupting memory.  NativeInfo carries the ABI
-// version and the source hash so a stale or foreign cache entry is
-// detected before the first call.  Besides data, no process pointer
-// crosses the ABI: a write record names its target and error site by the
-// store instruction's position, which the host resolves at commit.
-#pragma once
-
-#include <cstdint>
+// NArgs carries everything link-dependent (field pointers, coord tables,
+// scalar homes, the pool chunk's [k_begin, k_end) slice of the active-lane
+// list), so a kernel bakes in only kernel-static facts and the same .so
+// stays valid across executions, processes and mappings: that is what
+// makes the on-disk cache sound.  NInfo carries the ABI version and the
+// source hash, so a stale or foreign cache entry is detected before the
+// first call.  Besides data, no process pointer crosses the ABI: a write
+// record names its target and error site by the store instruction's
+// position, which the host resolves at commit.
+#ifndef UC_VM_NATIVE_ABI_HPP
+#define UC_VM_NATIVE_ABI_HPP
 
 namespace uc::vm::detail::native {
 
-// Bump whenever NativeArgs / the mirrored host structs change shape.
-inline constexpr std::uint32_t kAbiVersion = 2;
+typedef __INT64_TYPE__ i64;
+typedef __UINT64_TYPE__ u64;
+typedef __INT32_TYPE__ i32;
+typedef __UINT32_TYPE__ u32;
+typedef __UINT8_TYPE__ u8;
+static_assert(sizeof(i64) == 8 && sizeof(double) == 8 && sizeof(void*) == 8,
+              "uc native: unsupported host ABI");
 
-// Mirror of kernel::Engine's LinkedElem (resolved per execution).
+// Bump whenever a record below changes shape.
+inline constexpr u32 kAbiVersion = 3;
+
+// Mirrors of the host records kernels read and write in place: Value,
+// WriteRec and AccessStats.  Every emitted kernel static_asserts their
+// layout against the host's own numbers.
+struct NVal { bool flt; i64 i; double f; };
+struct NWrite { i64 index; u64 bits; u32 ip; u32 flt; };
+struct NStats { u64 local, news, news_max_hops, router, frontend, broadcast; };
+
+// --- Operand tables: filled by kernel::Engine::link per execution,
+// indexed by the kernel's operand slots. ---
+
+// An index element bound `depth` spaces up: lane l reads
+// vals[l * width + k].
 struct NElem {
-  const std::int64_t* vals = nullptr;
-  std::int64_t k = 0;
-  std::int64_t width = 0;
-  std::int32_t depth = 0;
+  const i64* vals = nullptr;
+  i64 k = 0;
+  i64 width = 0;
+  i32 depth = 0;
 };
 
-// Mirror of LinkedScalar: globals/frame scalars are snapshotted by value
-// (writes are buffered, so the slot is stable for the whole statement);
-// lane-locals pass their backing store (a host Value array) plus the
-// space translation depth.
+enum : u8 { kHomeGlobal = 0, kHomeFrame = 1, kHomeLaneLocal = 2 };
+
+// A scalar's storage: the global or frame slot's Value, or a lane-local's
+// per-lane Value array, indexed by the lane `depth` spaces up.  Writes
+// are buffered, so the storage is stable for the whole statement.
 struct NScalar {
-  std::int64_t i = 0;               // snapshot, int representation
-  double f = 0.0;                   // snapshot, float representation
-  const void* store = nullptr;      // lane-local: Value* backing store
-  std::int64_t slot = 0;
-  std::int32_t depth = 0;
-  std::uint8_t home = 0;            // 0 global / 1 frame / 2 lane-local
+  const void* store = nullptr;
+  i32 depth = 0;
+  u8 home = kHomeGlobal;
 };
 
-// Mirror of LinkedArray's hot-loop caches.
+// An access's class before the owner is looked at.  It is fixed per
+// statement: mappings change only between statements.
+enum : u8 { kAccFrontend = 0, kAccLocal = 1, kAccRemote = 2 };
+
 struct NArray {
-  const std::uint64_t* data = nullptr;
-  const std::int64_t* owners = nullptr;     // cm::VpIndex
-  const std::int64_t* vp_coords = nullptr;  // geom_matches: coord table
-  const std::int64_t* adims = nullptr;
-  const std::int64_t* astrides = nullptr;
-  std::int64_t rank = 0;
-  std::uint8_t mode = 0;  // 0 frontend / 1 local-replicated / 2 remote
-  std::uint8_t geom_matches = 0;
-  std::uint8_t slice = 0;
-  std::uint8_t replicated = 0;
+  const u64* data = nullptr;       // element bits of the view
+  const i64* owners = nullptr;     // owner VP of each element
+  const i64* vp_coords = nullptr;  // geom_matches: coordinates of each VP
+  const i64* adims = nullptr;
+  const i64* astrides = nullptr;
+  i64 rank = 0;
+  u8 mode = kAccRemote;
+  u8 geom_matches = 0;  // lane geometry == array shape (rank <= 8)
+  u8 slice = 0;
+  u8 replicated = 0;
+  u8 flt = 0;
 };
 
-// Mirror of LinkedReduce (value pointers + sizes are link-dependent; the
-// set count, fold operator and float-ness are kernel-static and baked
-// into the emitted code).
+// A reduction's index sets.  The set count, operator and float-ness are
+// kernel-static, so kernels bake them in.
 struct NReduce {
-  const std::int64_t* values[4] = {};
-  std::int64_t sizes[4] = {};
-  std::int64_t prod = 1;
-  std::int64_t base_dims = 0;
-  std::uint8_t suppress = 0;  // partition_optimized, set per statement
+  const i64* values[4] = {};  // kernel::kMaxReduceSets
+  i64 sizes[4] = {};
+  i64 prod = 1;
+  i64 base_dims = 0;  // outer lane dims copied into the inner coords
+  u8 suppress = 0;    // partition-optimised: accesses are already paid
+                      // for; set per execution, after the charge step
 };
 
-struct NativeArgs {
+struct NArgs {
   // Chunk: positions [k_begin, k_end) of the active-lane list.
-  std::int64_t k_begin = 0;
-  std::int64_t k_end = 0;
-  const std::int64_t* active = nullptr;
+  i64 k_begin = 0;
+  i64 k_end = 0;
+  const i64* active = nullptr;
 
   // Statement space.
-  const std::int64_t* vps = nullptr;
-  const std::int64_t* coords = nullptr;  // lane-major, n_dims per lane
-  std::int64_t n_dims = 0;
-  const std::int64_t* const* parent_lanes = nullptr;  // [depth d] -> array
-  std::int32_t max_depth = 0;
+  const i64* vps = nullptr;
+  const i64* coords = nullptr;  // lane-major, n_dims per lane
+  i64 n_dims = 0;
+  const i64* const* parent_lanes = nullptr;  // [depth d - 1] -> array
+  i32 max_depth = 0;
 
-  // Linked operand tables (indexed by the kernel's operand slots).
   const NElem* elems = nullptr;
   const NScalar* scalars = nullptr;
   const NArray* arrays = nullptr;
@@ -99,25 +118,114 @@ struct NativeArgs {
   // reserved (not initialised) for max_writes_per_lane * (k_end - k_begin).
   void* results = nullptr;
   void* writes = nullptr;
-  std::int64_t writes_count = 0;  // out: records actually written
-  void* stats = nullptr;          // AccessStats[num_members]
+  i64 writes_count = 0;  // out: records actually written
+  void* stats = nullptr;  // AccessStats[num_members]
 
-  std::uint64_t stmt_id = 0;
-  std::uint64_t base_seed = 0;
-  std::uint64_t news_op = 0;
-  std::uint64_t router_op = 0;
+  u64 stmt_id = 0;
+  u64 base_seed = 0;
+  u64 news_op = 0;
+  u64 router_op = 0;
 
   // Out: nonzero when the kernel hit a condition it cannot report itself
   // (bounds error, division by zero, ...).  The host then discards the
   // buffered state and re-runs the statement on the bytecode engine,
   // which raises the identical error (errors are deterministic).
-  std::int64_t error = 0;
+  i64 error = 0;
 };
 
-struct NativeInfo {
-  std::uint32_t abi_version = 0;
-  std::uint32_t sizeof_args = 0;
-  std::uint64_t source_hash = 0;
+struct NInfo {
+  u32 abi_version = 0;
+  u32 sizeof_args = 0;
+  u64 source_hash = 0;
 };
+
+// --- Lane helpers ---
+
+inline double uc_bits_f(u64 b) {
+  double d;
+  __builtin_memcpy(&d, &b, 8);
+  return d;
+}
+inline i64 uc_bits_i(u64 b) {
+  i64 v;
+  __builtin_memcpy(&v, &b, 8);
+  return v;
+}
+inline u64 uc_f_bits(double d) {
+  u64 b;
+  __builtin_memcpy(&b, &d, 8);
+  return b;
+}
+
+// Wrapping int arithmetic (support/arith.hpp).  Signed overflow and a
+// left shift of a negative value are undefined in the kernels' C++17, and
+// -O3 exploits it.
+inline i64 uc_add(i64 a, i64 b) { return (i64)((u64)a + (u64)b); }
+inline i64 uc_sub(i64 a, i64 b) { return (i64)((u64)a - (u64)b); }
+inline i64 uc_mul(i64 a, i64 b) { return (i64)((u64)a * (u64)b); }
+inline i64 uc_neg(i64 a) { return (i64)(0ull - (u64)a); }
+inline i64 uc_shl(i64 a, i64 b) { return (i64)((u64)a << (b & 63)); }
+
+// One step of the per-lane SplitMix64 stream (support::SplitMix64).
+inline u64 uc_sm64(u64& s) {
+  u64 z = (s += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// Charges one access to element `flat` of `a` by the lane at VP `vp` with
+// coordinates `coords` (the reduction tuple's inside a reduction's arms).
+// In order: an access inside a partition-optimised reduction is already
+// paid for by the send-with-combine; front end; replicated -> local; own
+// element -> local; slice -> router; exactly one differing axis whose hop
+// count fits the router's cost -> NEWS (news_max_hops keeps the maximum);
+// anything else -> router.  The walk's classify_remote_access makes the
+// same decisions independently; the parity suites hold the two equal.
+// Stats is AccessStats in bytecode lanes and its mirror NStats in kernels.
+template <class Stats>
+inline void uc_classify(const NArray& a, bool suppressed, i64 flat, i64 vp,
+                        const i64* coords, u64 news_op, u64 router_op,
+                        Stats* st) {
+  if (suppressed) return;
+  if (a.mode == kAccFrontend) {
+    ++st->frontend;
+    return;
+  }
+  if (a.mode == kAccLocal) {
+    ++st->local;
+    return;
+  }
+  const i64 owner = a.owners[flat];
+  if (owner == vp) {
+    ++st->local;
+    return;
+  }
+  if (a.slice) {
+    ++st->router;
+    return;
+  }
+  if (a.geom_matches) {
+    // The lane geometry is the array shape, so `rank` coordinates cover
+    // both, and the coord table replaces an unflatten division.
+    const i64* oc = a.vp_coords + (u64)owner * (u64)a.rank;
+    int diff = 0;
+    u64 hops = 0;
+    for (i64 d = 0; d < a.rank; ++d) {
+      if (oc[d] != coords[d]) {
+        ++diff;
+        hops = (u64)(oc[d] < coords[d] ? coords[d] - oc[d] : oc[d] - coords[d]);
+      }
+    }
+    if (diff == 1 && hops * news_op <= router_op) {
+      ++st->news;
+      if (hops > st->news_max_hops) st->news_max_hops = hops;
+      return;
+    }
+  }
+  ++st->router;
+}
 
 }  // namespace uc::vm::detail::native
+
+#endif  // UC_VM_NATIVE_ABI_HPP

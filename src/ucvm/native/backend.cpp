@@ -132,11 +132,11 @@ Backend::Loaded Backend::load_or_compile(const std::string& source,
     void* handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
     if (handle == nullptr) return {};
     const auto* info =
-        static_cast<const NativeInfo*>(::dlsym(handle, "uc_native_info"));
+        static_cast<const NInfo*>(::dlsym(handle, "uc_native_info"));
     void* entry_sym = ::dlsym(handle, "uc_native_entry");
     if (info == nullptr || entry_sym == nullptr ||
         info->abi_version != kAbiVersion ||
-        info->sizeof_args != sizeof(NativeArgs) || info->source_hash != hash) {
+        info->sizeof_args != sizeof(NArgs) || info->source_hash != hash) {
       if (expect_valid) {
         note(log, "native: cached object '" + so_path +
              "' is stale or corrupt; recompiling");

@@ -9,11 +9,14 @@
 // arm folding into an int reduction) makes the emitter decline the kernel
 // and the statement runs on the bytecode tier instead.
 //
-// Emitted loops index lanes contiguously over the chunk, keep `st`
-// guards as branches the host compiler converts to selects where
-// profitable, and never bake process-local pointers into the text: all
-// link-dependent state arrives through NativeArgs, which is what lets
-// the compiled .so be cached on disk across processes.
+// Each emitted file opens with the exact bytes of native/abi.hpp, the
+// lane ABI the bytecode executor compiles too: the operand tables, the
+// access classifier uc_classify and the wrapping arithmetic are one
+// definition for both tiers.  Emitted loops index lanes contiguously over
+// the chunk, keep `st` guards as branches the host compiler converts to
+// selects where profitable, and never bake process-local pointers into
+// the text: all link-dependent state arrives through NArgs, which is what
+// lets the compiled .so be cached on disk across processes.
 #include <cstdarg>
 #include <cstddef>
 #include <cstdint>
@@ -41,6 +44,11 @@ using lang::UnaryOp;
 // dispatch win and the bytecode tier is the better choice.
 constexpr std::size_t kMaxInsts = 4096;
 constexpr std::size_t kMaxRegs = 2048;
+
+// The exact bytes of native/abi.hpp, which open every emitted kernel.
+constexpr char kAbiHeader[] =
+#include "abi_prelude.inc"
+    ;
 
 enum RegType : int { kUnset = -1, kInt = 0, kFloat = 1 };
 
@@ -150,9 +158,6 @@ class Emitter {
         case Op::kClassify:
           if (use(I.b) != kInt) return false;
           break;
-        case Op::kBroadcastCheck:
-          break;
-        case Op::kArrStore:
         case Op::kArrPut:
           if (use(I.b) != kInt || use(I.c) == kUnset) return false;
           if (cur_reduce >= 0) return false;
@@ -304,18 +309,12 @@ class Emitter {
     return R(r) + (rt_[r] == kFloat ? " != 0.0" : " != 0");
   }
   void classify_call(std::uint16_t site, const std::string& flat) {
-    const std::int32_t red = k_.arrays[site].reduce;
-    if (red >= 0) {
-      appendf(src_,
-              "      uc_classify(A, a_, 1, %s, rs_vp, rs_coords, "
-              "rs_suppress, st);\n",
-              flat.c_str());
-    } else {
-      appendf(src_,
-              "      uc_classify(A, a_, 0, %s, lane_vp, lane_coords, "
-              "false, st);\n",
-              flat.c_str());
-    }
+    const bool in_reduce = k_.arrays[site].reduce >= 0;
+    appendf(src_,
+            "      uc_classify(a_, %s, %s, %s, %s, news_op, router_op, st);\n",
+            in_reduce ? "rs_suppress" : "false", flat.c_str(),
+            in_reduce ? "rs_vp" : "lane_vp",
+            in_reduce ? "rs_coords" : "lane_coords");
   }
   // One WriteRec, in place at the chunk's next record: what run_lane's
   // WriteRec::of builds for the store at `ip`.
@@ -328,7 +327,7 @@ class Emitter {
             index.c_str(), flt ? "uc_f_bits" : "(u64)", R(reg).c_str(), ip,
             flt ? 1 : 0);
   }
-  void emit_bounds(std::uint16_t site, std::uint16_t base, std::uint16_t n) {
+  void emit_bounds(std::uint16_t base, std::uint16_t n) {
     appendf(src_, "      i64 flat = (%u == a_.rank) ? 0 : (i64)-1;\n",
             static_cast<unsigned>(n));
     for (std::uint16_t j = 0; j < n; ++j) {
@@ -339,23 +338,16 @@ class Emitter {
               I64(base + j).c_str(), j, j);
     }
     src_ += "      if (flat < 0) goto uc_error;\n";
-    (void)site;
   }
 
-  // --- prelude: mirrored host structs + helpers ---
+  // --- prelude: the lane ABI header, then the host's layouts ---
 
   void emit_prelude() {
+    src_ += kAbiHeader;
     src_ +=
         "// Generated lane kernel (uc native tier).  Do not edit: the\n"
         "// file name is a content hash and the VM regenerates it.\n"
-        "typedef long long i64;\n"
-        "typedef unsigned long long u64;\n"
-        "static_assert(sizeof(i64) == 8 && sizeof(double) == 8 && "
-        "sizeof(void*) == 8, \"uc native: unsupported host ABI\");\n"
-        "struct NVal { bool flt; i64 i; double f; };\n"
-        "struct NWrite { i64 index; u64 bits; unsigned ip; unsigned flt; };\n"
-        "struct NStats { u64 local, news, news_max_hops, router, frontend,"
-        " broadcast; };\n";
+        "using namespace uc::vm::detail::native;\n";
     // Layout proofs against the host process that emitted this file.
     appendf(src_,
             "static_assert(sizeof(NVal) == %zu && "
@@ -371,81 +363,8 @@ class Emitter {
             offsetof(WriteRec, flt));
     appendf(src_, "static_assert(sizeof(NStats) == %zu, \"stats layout\");\n",
             sizeof(AccessStats));
-    src_ +=
-        "struct NElem { const i64* vals; i64 k; i64 width; int depth; };\n"
-        "struct NScalar { i64 i; double f; const void* store;\n"
-        "  i64 slot; int depth; unsigned char home; };\n"
-        "struct NArray { const u64* data; const i64* owners;\n"
-        "  const i64* vp_coords; const i64* adims; const i64* astrides;\n"
-        "  i64 rank; unsigned char mode; unsigned char geom_matches;\n"
-        "  unsigned char slice; unsigned char replicated; };\n"
-        "struct NReduce { const i64* values[4]; i64 sizes[4]; i64 prod;\n"
-        "  i64 base_dims; unsigned char suppress; };\n"
-        "struct NArgs {\n"
-        "  i64 k_begin, k_end; const i64* active;\n"
-        "  const i64* vps; const i64* coords; i64 n_dims;\n"
-        "  const i64* const* parent_lanes; int max_depth;\n"
-        "  const NElem* elems; const NScalar* scalars;\n"
-        "  const NArray* arrays; const NReduce* reduces;\n"
-        "  void* results; void* writes; i64 writes_count; void* stats;\n"
-        "  u64 stmt_id, base_seed, news_op, router_op;\n"
-        "  i64 error;\n"
-        "};\n";
-    appendf(src_,
-            "static_assert(sizeof(NElem) == %zu && sizeof(NScalar) == %zu && "
-            "sizeof(NArray) == %zu && sizeof(NReduce) == %zu && "
-            "sizeof(NArgs) == %zu, \"NativeArgs layout\");\n",
-            sizeof(NElem), sizeof(NScalar), sizeof(NArray), sizeof(NReduce),
-            sizeof(NativeArgs));
-    src_ +=
-        "static inline double uc_bits_f(u64 b) "
-        "{ double d; __builtin_memcpy(&d, &b, 8); return d; }\n"
-        "static inline i64 uc_bits_i(u64 b) "
-        "{ i64 v; __builtin_memcpy(&v, &b, 8); return v; }\n"
-        "static inline u64 uc_f_bits(double d) "
-        "{ u64 b; __builtin_memcpy(&b, &d, 8); return b; }\n"
-        // Wrapping int arithmetic (support/arith.hpp): signed overflow is
-        // undefined in C++, and -O3 exploits it.
-        "static inline i64 uc_add(i64 a, i64 b) "
-        "{ return (i64)((u64)a + (u64)b); }\n"
-        "static inline i64 uc_sub(i64 a, i64 b) "
-        "{ return (i64)((u64)a - (u64)b); }\n"
-        "static inline i64 uc_mul(i64 a, i64 b) "
-        "{ return (i64)((u64)a * (u64)b); }\n"
-        "static inline i64 uc_neg(i64 a) { return (i64)(0ull - (u64)a); }\n"
-        "static inline u64 uc_sm64(u64& s) {\n"
-        "  u64 z = (s += 0x9e3779b97f4a7c15ull);\n"
-        "  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;\n"
-        "  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;\n"
-        "  return z ^ (z >> 31);\n"
-        "}\n"
-        // Mirror of kernel::Engine::classify_site, decision for decision.
-        "static inline void uc_classify(const NArgs* A, const NArray& a,\n"
-        "    int in_reduce, i64 flat, i64 vp, const i64* coords,\n"
-        "    bool suppress, NStats* st) {\n"
-        "  if (in_reduce && suppress) return;\n"
-        "  if (a.mode == 0) { ++st->frontend; return; }\n"
-        "  if (a.mode == 1) { ++st->local; return; }\n"
-        "  const i64 owner = a.owners[flat];\n"
-        "  if (owner == vp) { ++st->local; return; }\n"
-        "  if (a.slice) { ++st->router; return; }\n"
-        "  if (a.geom_matches) {\n"
-        "    const i64* oc = a.vp_coords + (u64)owner * (u64)a.rank;\n"
-        "    int diff = 0; i64 hops = 0;\n"
-        "    for (i64 d = 0; d < a.rank; ++d) {\n"
-        "      if (oc[d] != coords[d]) { ++diff;\n"
-        "        hops = oc[d] < coords[d] ? coords[d] - oc[d] : oc[d] - "
-        "coords[d]; }\n"
-        "    }\n"
-        "    if (diff == 1 && (u64)hops * A->news_op <= A->router_op) {\n"
-        "      ++st->news;\n"
-        "      if ((u64)hops > st->news_max_hops) st->news_max_hops = "
-        "(u64)hops;\n"
-        "      return;\n"
-        "    }\n"
-        "  }\n"
-        "  ++st->router;\n"
-        "}\n";
+    appendf(src_, "static_assert(sizeof(NArgs) == %zu, \"NArgs layout\");\n",
+            sizeof(NArgs));
   }
 
   // --- the entry function ---
@@ -457,6 +376,7 @@ class Emitter {
         "  NVal* results = (NVal*)A->results;\n"
         "  NWrite* WQ = (NWrite*)A->writes;\n"
         "  NStats* stats0 = (NStats*)A->stats;\n"
+        "  const u64 news_op = A->news_op, router_op = A->router_op;\n"
         "  i64 wn = 0;\n"
         "  for (i64 kk = A->k_begin; kk < A->k_end; ++kk) {\n"
         "    const i64 lane = A->active[kk];\n"
@@ -500,12 +420,9 @@ class Emitter {
         "uc_error:\n"
         "  A->error = 1;\n"
         "}\n";
-    appendf(src_,
-            "extern \"C\" { struct NInfo { unsigned abi_version; "
-            "unsigned sizeof_args; u64 source_hash; };\n"
-            "UC_EXPORT extern const NInfo uc_native_info = {%uu, %zuu, "
-            "UC_SOURCE_HASH}; }\n",
-            kAbiVersion, sizeof(NativeArgs));
+    src_ +=
+        "extern \"C\" { UC_EXPORT extern const NInfo uc_native_info = "
+        "{kAbiVersion, sizeof(NArgs), UC_SOURCE_HASH}; }\n";
   }
 
   void emit_inst(std::size_t ip) {
@@ -543,26 +460,19 @@ class Emitter {
         appendf(src_, "      %s = rs_elem[%u];\n", R(I.dst).c_str(), I.b);
         break;
       case Op::kLoadScalar:
-        appendf(src_, "      const NScalar& ls = A->scalars[%u];\n", I.a);
-        if (rt_[I.dst] == kFloat) {
-          appendf(src_,
-                  "      %s = ls.home == 2 ? ((const NVal*)ls.store)"
-                  "[L[ls.depth]].f : ls.f;\n",
-                  R(I.dst).c_str());
-        } else {
-          appendf(src_,
-                  "      %s = ls.home == 2 ? ((const NVal*)ls.store)"
-                  "[L[ls.depth]].i : ls.i;\n",
-                  R(I.dst).c_str());
-        }
+        appendf(src_,
+                "      const NScalar& ls = A->scalars[%u];\n"
+                "      %s = ((const NVal*)ls.store)"
+                "[ls.home == kHomeLaneLocal ? L[ls.depth] : 0].%s;\n",
+                I.a, R(I.dst).c_str(), rt_[I.dst] == kFloat ? "f" : "i");
         break;
       case Op::kStoreScalar:
         appendf(src_, "      const NScalar& ls = A->scalars[%u];\n", I.a);
-        emit_write(ip, "ls.home == 2 ? L[ls.depth] : 0", I.b);
+        emit_write(ip, "ls.home == kHomeLaneLocal ? L[ls.depth] : 0", I.b);
         break;
       case Op::kArrIndex:
         appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
-        emit_bounds(I.a, I.b, I.c);
+        emit_bounds(I.b, I.c);
         appendf(src_, "      %s = flat;\n", R(I.dst).c_str());
         break;
       case Op::kArrLoad:
@@ -573,7 +483,7 @@ class Emitter {
         break;
       case Op::kArrGet:
         appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
-        emit_bounds(I.a, I.b, I.c);
+        emit_bounds(I.b, I.c);
         classify_call(I.a, "flat");
         appendf(src_, "      %s = %s(a_.data[flat]);\n", R(I.dst).c_str(),
                 rt_[I.dst] == kFloat ? "uc_bits_f" : "uc_bits_i");
@@ -581,14 +491,6 @@ class Emitter {
       case Op::kClassify:
         appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
         classify_call(I.a, R(I.b));
-        break;
-      case Op::kBroadcastCheck:
-        appendf(src_,
-                "      if (A->arrays[%u].replicated) ++st->broadcast;\n",
-                I.a);
-        break;
-      case Op::kArrStore:
-        emit_write(ip, R(I.b), I.c);
         break;
       case Op::kArrPut:
         appendf(src_, "      const NArray& a_ = A->arrays[%u];\n", I.a);
@@ -657,8 +559,9 @@ class Emitter {
           appendf(src_, "      %s = __builtin_fabs(%s);\n", R(I.dst).c_str(),
                   R(I.a).c_str());
         } else {
-          appendf(src_, "      %s = %s < 0 ? -%s : %s;\n", R(I.dst).c_str(),
-                  R(I.a).c_str(), R(I.a).c_str(), R(I.a).c_str());
+          appendf(src_, "      %s = %s < 0 ? uc_neg(%s) : %s;\n",
+                  R(I.dst).c_str(), R(I.a).c_str(), R(I.a).c_str(),
+                  R(I.a).c_str());
         }
         break;
       case Op::kMinMax: {
@@ -819,7 +722,7 @@ class Emitter {
           // INT64_MIN / -1 wraps (support/arith.hpp) instead of trapping.
           appendf(src_,
                   "      if (%s == 0) goto uc_error;\n"
-                  "      %s = %s == -1 ? (i64)(0ull - (u64)%s) : %s / %s;\n",
+                  "      %s = %s == -1 ? uc_neg(%s) : %s / %s;\n",
                   R(I.b).c_str(), R(I.dst).c_str(), b.c_str(), a.c_str(),
                   a.c_str(), b.c_str());
         }
@@ -850,7 +753,7 @@ class Emitter {
                 I64(I.a).c_str(), I64(I.b).c_str());
         return;
       case BinaryOp::kShl:
-        appendf(src_, "      %s = %s << (%s & 63);\n", R(I.dst).c_str(),
+        appendf(src_, "      %s = uc_shl(%s, %s);\n", R(I.dst).c_str(),
                 I64(I.a).c_str(), I64(I.b).c_str());
         return;
       case BinaryOp::kShr:

@@ -4,10 +4,11 @@
 // owns the emit -> cache -> compile -> load pipeline, the per-Kernel
 // prepared-program cache and the loaded handles; it lives in the
 // vm::KernelCache beside the kernels it prepares, so loaded entry points
-// outlive the run.  Dispatch (building NativeArgs from the link tables and
-// running chunks on the thread pool) and the per-run counters stay in
-// kernel::Engine, which is the only code that can see the linked operand
-// state.
+// outlive the run.  The records a kernel reads are the lane ABI's
+// (abi.hpp), which kernel::Engine::link fills for bytecode and native
+// lanes alike; dispatch (handing those tables to the entry point and
+// running chunks on the thread pool) and the per-run counters stay in the
+// Engine.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,7 @@ namespace uc::vm::detail::native {
 // A kernel lowered, compiled and loaded: the entry point plus the
 // kernel-static metadata the host needs to validate and dispatch.
 struct Prepared {
-  using EntryFn = void (*)(NativeArgs*);
+  using EntryFn = void (*)(NArgs*);
   EntryFn entry = nullptr;
   std::uint64_t source_hash = 0;
   // Emit-time assumptions the host re-validates per dispatch; a mismatch

@@ -418,6 +418,43 @@ TEST(EngineParity, IntNegWrapsAtTheEdges) {
       {"a", "b"});
 }
 
+// abs(INT64_MIN) is INT64_MIN on every engine, as -INT64_MIN is: in a
+// lane (the kernels' kAbs) and in a front-end scalar statement (the
+// walk's builtin, which every engine runs for the front end).
+TEST(EngineParity, IntAbsWrapsAtTheEdge) {
+  expect_wrap_parity(
+      "index_set I:i = {0..3};\n"
+      "int a[4], x, s;\n"
+      "void main() {\n"
+      "  x = -9223372036854775807 - 1;\n"
+      "  s = abs(x);\n"
+      "  par (I) a[i] = abs(x + i);\n"
+      "  print(s, a[0], a[1], a[3]);\n"
+      "}\n",
+      "-9223372036854775808 -9223372036854775808 9223372036854775807 "
+      "9223372036854775805\n",
+      {"a"});
+}
+
+// A left shift of a negative value keeps the low bits, modulo 2^64, on
+// every engine; the native kernels (C++17, where it is undefined) shift
+// through uc_shl.
+TEST(EngineParity, ShlOfNegativeMatches) {
+  expect_wrap_parity(
+      "index_set I:i = {0..3};\n"
+      "int a[4], b[4], x, s;\n"
+      "void main() {\n"
+      "  x = -1;\n"
+      "  s = x << 63;\n"
+      "  par (I) a[i] = (0 - 3 - i) << 62;\n"
+      "  par (I) b[i] = x << (60 + i);\n"
+      "  print(s, a[0], a[1], a[2], a[3], b[0], b[3]);\n"
+      "}\n",
+      "-9223372036854775808 4611686018427387904 0 -4611686018427387904 "
+      "-9223372036854775808 -1152921504606846976 -9223372036854775808\n",
+      {"a", "b"});
+}
+
 // Int $+ and $* reductions wrap in the VM's own folds too: per lane (a
 // reduction inside a par body, folded by the lane engines) and on the
 // front end.
@@ -438,6 +475,25 @@ TEST(EngineParity, IntReductionsWrapOnOverflow) {
 }
 
 // --- fusion safety ---
+
+// A fused group whose first member is a partition-optimised reduction
+// (paper §4): the group links before its members pay their charges, and
+// the charge is what decides the optimisation, so the lanes must read
+// that decision when they run, not when they link.
+TEST(EngineParity, FusedGroupWithPartitionedReduction) {
+  expect_parity(
+      "index_set I:i = {0..7}, J:j = {0..7};\n"
+      "int a[8], b[8], c[8], p[8];\n"
+      "void main() {\n"
+      "  par (J) { p[j] = 7 - j; b[j] = j * 3; }\n"
+      "  par (I) {\n"
+      "    a[i] = $+(J st (p[j] == i) b[j]);\n"
+      "    c[i] = a[i] + b[i];\n"
+      "  }\n"
+      "  print(a[0], a[7], c[0], c[7]);\n"
+      "}\n",
+      {"a", "c"});
+}
 
 // Cross-lane RAW hazard: the second statement reads a[i+1], which the
 // first statement writes from a *different* lane.  UC's synchronous

@@ -60,8 +60,6 @@ TEST(KernelCompiler, CompilesSimpleParAssignment) {
   EXPECT_EQ(k->code.back().op, Op::kRet);
   // Store side lowers to the fused classify+broadcast+store.
   EXPECT_EQ(count_ops(*k, Op::kArrPut), 1);
-  EXPECT_EQ(count_ops(*k, Op::kArrStore), 0);
-  EXPECT_EQ(count_ops(*k, Op::kBroadcastCheck), 0);
 }
 
 TEST(KernelCompiler, RvalueReadsUseFusedArrGet) {

@@ -186,9 +186,11 @@ run_asan() {
       run_suite "$root/build-asan" -DUC_SANITIZE="address;undefined"
   # Engine parity under the sanitizers: every shipped program, walk vs
   # bytecode (byte-identical output and modeled cycles) vs bytecode-fused
-  # (byte-identical output, cycles never above unfused).
+  # (byte-identical output, cycles never above unfused), plus the native
+  # tier's cache suite, whose kernels read the engine's link tables in
+  # place (NativeBackend* skips loudly without a toolchain).
   "$root/build-asan/tests/ucvm/test_ucvm" \
-      --gtest_filter='EngineParity*:ThreadParity*:CommitProof*:WriteRecord*'
+      --gtest_filter='EngineParity*:ThreadParity*:CommitProof*:WriteRecord*:NativeBackend*'
   # Kernels and loaded native objects reused across the runs of one
   # Program, then unloaded with it.
   "$root/build-asan/tests/uc/test_uc_api" --gtest_filter='ProgramReuse*'
@@ -206,15 +208,17 @@ run_asan() {
 # its workers.  The full ctest tier under TSan is slow; this lane focuses
 # on the suites that actually fork and join threads: the cm pool / ops /
 # machine tests and the engine + thread-count differential suites, which
-# run every paper program at 1/2/4/7 host threads, plus the Program-reuse
-# suite, whose kernels outlive the pool of each run.
+# run every paper program at 1/2/4/7 host threads; the native suite, since
+# pooled native workers read the engine's link tables (the lane ABI's
+# records) concurrently, in place (it skips loudly without a toolchain);
+# and the Program-reuse suite, whose kernels outlive the pool of each run.
 run_tsan() {
   cmake -B "$root/build-tsan" -S "$root" -DUC_SANITIZE="thread"
   cmake --build "$root/build-tsan" -j
   "$root/build-tsan/tests/cm/test_cm" \
       --gtest_filter='ThreadPool*:Threads/*:Machine*:Ops*'
   "$root/build-tsan/tests/ucvm/test_ucvm" \
-      --gtest_filter='ThreadParity*:EngineParity*:CommitProof*:WriteRecord*'
+      --gtest_filter='ThreadParity*:EngineParity*:CommitProof*:WriteRecord*:NativeBackend*'
   "$root/build-tsan/tests/uc/test_uc_api" --gtest_filter='ProgramReuse*'
 }
 

@@ -21,6 +21,10 @@
 //   --trace                 print the Paris-style instruction trace
 //   --engine=<walk|bytecode|native>  VM execution engine (default
 //                           bytecode)
+//   --native-cache-dir=<dir>  native: compiled-kernel cache directory
+//                           (default: a per-user directory under the
+//                           system temp path)
+//   --native-cc=<cc>        native: compiler driver (default c++)
 //   --fuse=<on|off>         statement fusion + communication-plan cache
 //                           on the bytecode engine (default on)
 //   --repeat=<n>            bench: report the median of n timed runs
@@ -34,8 +38,9 @@
 //   --no-notes              analyze: drop UC-Axxx notes, keep warnings
 //   --no-summary            analyze: drop the communication summary
 //   --werror                analyze: nonzero exit on any warning
-//   --json=<file>           analyze / optimize-map / bench:
-//                           machine-readable report
+//   --json=<file>           analyze / optimize-map / bench: machine-
+//                           readable report; profile: also the per-site
+//                           JSON
 //   --emit=<file>           optimize-map: write the rewritten program
 //   --beam=<n>              optimize-map: beam width (default 4)
 //   --no-validate           optimize-map: trust the static prediction, skip
@@ -43,7 +48,6 @@
 //   --profile[=out.json]    run: profile; bare prints the table to stderr,
 //                           with a path writes the per-site JSON there
 //   --trace-json=<file>     profile/run --profile: Chrome trace-event JSON
-//   --json=<file>           profile: also write the per-site JSON
 //   --top=<n>               profile: print only the n hottest sites
 //   --no-static             profile: skip the static-analysis join column
 //   --faults=<spec>         inject seeded transient faults, e.g.
