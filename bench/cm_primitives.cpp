@@ -11,12 +11,18 @@ namespace {
 using namespace uc::cm;
 
 struct Rig {
+  static MachineOptions options(unsigned threads) {
+    MachineOptions o;
+    o.host_threads = threads;
+    return o;
+  }
+
   Machine machine;
   GeomId geom;
   FieldId a, b;
 
   explicit Rig(std::int64_t n, unsigned threads = 1)
-      : machine(MachineOptions{CostModel{}, threads, 1}),
+      : machine(options(threads)),
         geom(machine.create_geometry({n})),
         a(machine.allocate_field(geom, "a", ElemType::kInt)),
         b(machine.allocate_field(geom, "b", ElemType::kInt)) {

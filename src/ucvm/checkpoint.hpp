@@ -71,7 +71,7 @@ class CheckpointManager {
   explicit CheckpointManager(Impl& vm);
 
   bool enabled() const;
-  // Called once per synchronous statement (the eval_lanes funnel).
+  // Called once per synchronous statement (the exec_group funnel).
   void note_statement() { ++stmt_seq_; }
   // Cadence: capture when at least `checkpoint_every` statements ran since
   // the last capture anywhere.

@@ -11,6 +11,7 @@
 #include "ucvm/durable.hpp"
 #include "ucvm/interp_detail.hpp"
 #include "ucvm/kernel/kernel.hpp"
+#include "ucvm/native/abi.hpp"
 
 namespace uc::vm {
 
@@ -313,8 +314,7 @@ support::SplitMix64& Impl::lane_rng(EvalCtx& ctx) {
     // Deterministic for any host thread count: depends only on the base
     // seed, the statement instance and the lane's VP.
     const auto vp = static_cast<std::uint64_t>(ctx.space->vps[ctx.lane]);
-    ctx.rng.seed(base_seed ^ (stmt_counter * 0x9e3779b97f4a7c15ull) ^
-                 (vp + 0x5851f42d4c957f2dull));
+    ctx.rng.seed(native::uc_lane_seed(base_seed, stmt_counter, vp));
     ctx.rng_seeded = true;
   }
   return ctx.rng;
@@ -417,9 +417,9 @@ RunResult Impl::run() {
     result.native_cache_hits_ = kernel_engine_->native_prepared().cache_hits;
     result.native_dispatches_ = kernel_engine_->native_dispatches();
     result.native_fallbacks_ = kernel_engine_->native_fallbacks();
-    result.bytecode_statements_ = kernel_engine_->compiled_statements();
-    result.walk_fallback_statements_ = kernel_engine_->fallback_statements();
   }
+  result.bytecode_statements_ = bytecode_stmts;
+  result.walk_fallback_statements_ = walk_fallback_stmts;
   result.commits_proven_ = commits_proven;
   result.commits_checked_ = commits_checked;
   result.writes_proven_ = writes_proven;

@@ -40,7 +40,7 @@ struct Impl;
 }
 class KernelCache;  // ucvm/kernel_cache.hpp
 
-// How eval_lanes executes a synchronous statement over its lanes:
+// How the VM executes a synchronous statement over its lanes:
 //   * kWalk      — re-walk the sema'd expression tree per lane (reference).
 //   * kBytecode  — compile the statement once into lane-kernel bytecode and
 //     run a switch-dispatch loop per lane (docs/VM.md).  Statements the

@@ -9,6 +9,7 @@
 #include "ucvm/checkpoint.hpp"
 #include "ucvm/interp_detail.hpp"
 #include "ucvm/kernel/kernel.hpp"
+#include "ucvm/native/abi.hpp"
 #include "xform/affine.hpp"
 
 namespace uc::vm::detail {
@@ -95,51 +96,53 @@ std::unique_ptr<LaneSpace> Impl::expand(
 
 std::vector<Value> Impl::eval_lanes(const Expr& expr, LaneSpace& space,
                                     const std::vector<std::int64_t>& active,
-                                    Frame* frame, bool commit) {
+                                    Frame* frame) {
+  const Expr* const stmts[1] = {&expr};
+  std::vector<Value> results;
+  exec_group(stmts, 1, space, active, frame, results);
+  return results;
+}
+
+bool Impl::exec_group(const Expr* const* stmts, std::size_t n,
+                      LaneSpace& space,
+                      const std::vector<std::int64_t>& active, Frame* frame,
+                      std::vector<Value>& results) {
+  // Attribution: a single statement is one scope around everything, its
+  // compile and commit included.  A group enters each member's own site
+  // around that member's charges, so per-site cycles keep summing to the
+  // aggregate; the lane execution lands on member 0.
+  ProfScope whole(*this, stmts[0], "stmt", stmts[0]->range, n == 1);
+  auto member_scope = [&](std::size_t k) {
+    return ProfScope(*this, stmts[k], "stmt", stmts[k]->range, n > 1);
+  };
+
+  // Compile (cached) and link.  A decline touches no interpreter state, so
+  // a group can fall back cleanly to statement-at-a-time execution.  The
+  // native tier rides this same path: run_lanes_pooled diverts the lane
+  // loop to the compiled .so when it can (docs/VM.md "Native tier").
+  kernel::Engine* eng = nullptr;
+  if (opts.engine != ExecEngine::kWalk) {
+    eng = &kernel_engine();
+    if (!eng->prepare(stmts, n, space, frame)) eng = nullptr;
+  }
+  if (eng == nullptr && n > 1) return false;
+
   check_deadline(nullptr);
-  ckpt->note_statement();
+  // One transactional unit, but still n statements for checkpoint pacing
+  // and id assignment.
+  for (std::size_t k = 0; k < n; ++k) ckpt->note_statement();
   maybe_die();  // deterministic pre-statement kill point (tools/soak.sh)
-  ++stmt_counter;
-  const std::uint64_t stmt_id = stmt_counter;
+  const std::uint64_t first_stmt_id = stmt_counter + 1;
+  stmt_counter += n;
 
-  // Statement-level attribution scope.  Both engines execute inside it
-  // (the bytecode fast path below and the walk fallback alike), so the
-  // per-site deltas are engine-independent wherever the charges are.
-  ProfScope prof_scope(*this, &expr, "stmt", expr.range);
-
-  auto attempt = [&]() -> std::vector<Value> {
-    // Charge the static cost first: this also annotates reductions with the
-    // processor-optimisation decision the evaluator consults.  With fusion
-    // on (bytecode engine only) the charge goes through the
-    // communication-plan cache: a repeat execution of the same statement
-    // signature replays the recorded recipe at the reduced plan issue
-    // overhead instead of re-deriving it.
-    if (opts.fuse && opts.engine != ExecEngine::kWalk) {
-      charge_expr_planned(expr, space, /*rider=*/false);
-    } else {
-      charge_expr(expr, space.geom_size, /*frontend=*/false, &space);
-    }
-
-    // Fast path: compile the statement once into lane-kernel bytecode and
-    // run it allocation-free; statements the lowering/link does not cover
-    // fall through to the reference tree walk below (bit-identical results).
-    // The native tier rides this same path: run_lanes_pooled diverts the
-    // lane loop to the compiled .so when it can (docs/VM.md "Native tier").
-    if (opts.engine != ExecEngine::kWalk) {
-      if (auto fast = kernel_engine().try_run(expr, space, active, frame,
-                                              stmt_id, commit,
-                                              /*optimize=*/opts.fuse)) {
-        if (prof != nullptr) prof->note_engine(/*bytecode=*/true);
-        return std::move(*fast);
-      }
-    }
-    if (prof != nullptr) prof->note_engine(/*bytecode=*/false);
-
-    const auto n = static_cast<std::int64_t>(active.size());
-    std::vector<Value> results(static_cast<std::size_t>(n));
-    std::vector<std::vector<Write>> writes(static_cast<std::size_t>(n));
-    std::vector<std::string> prints(static_cast<std::size_t>(n));
-    std::vector<AccessStats> stats(static_cast<std::size_t>(n));
+  // The reference tree walk (n == 1): per-lane evaluation on the pool,
+  // then the dynamic charges, the conflict-checked commit and the prints.
+  auto walk_statement = [&] {
+    const Expr& expr = *stmts[0];
+    results.resize(active.size());
+    std::vector<std::vector<Write>> writes(active.size());
+    std::vector<std::string> prints(active.size());
+    std::vector<AccessStats> stats(active.size());
 
     const auto run_range = [&](std::int64_t b, std::int64_t e_) {
       for (std::int64_t k = b; k < e_; ++k) {
@@ -152,42 +155,76 @@ std::vector<Value> Impl::eval_lanes(const Expr& expr, LaneSpace& space,
         ctx.writes = &writes[static_cast<std::size_t>(k)];
         ctx.stats = &stats[static_cast<std::size_t>(k)];
         ctx.print_out = &prints[static_cast<std::size_t>(k)];
-        // Per-lane RNG seeded from the statement id captured above so
-        // all lanes of this statement share one instance id.
-        ctx.rng_seeded = false;
-        ctx.rng.seed(0);
-        // stmt_counter may move under recursion via eval (reductions do
-        // not call eval_lanes, so in practice it is stable); use the
-        // captured id for the seed.
-        const auto vp =
-            static_cast<std::uint64_t>(space.vps[ctx.lane]);
-        ctx.rng.seed(base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^
-                     (vp + 0x5851f42d4c957f2dull));
+        // Seeded from the statement id, not stmt_counter, so every lane of
+        // this statement shares one instance id.
+        ctx.rng.seed(native::uc_lane_seed(
+            base_seed, first_stmt_id,
+            static_cast<std::uint64_t>(space.vps[ctx.lane])));
         ctx.rng_seeded = true;
         results[static_cast<std::size_t>(k)] = eval(expr, ctx);
       }
     };
-    machine.pool().parallel_for(0, n, run_range, /*min_grain=*/64);
+    machine.pool().parallel_for(0, static_cast<std::int64_t>(active.size()),
+                                run_range, /*min_grain=*/64);
 
     // Merge dynamic comm stats and charge them on the issuing thread.
     AccessStats total;
     for (const auto& s : stats) total.merge(s);
     charge_dynamic_stats(total, space.geom_size);
 
-    if (commit) commit_writes(writes);
+    commit_writes(writes);
     for (auto& p : prints) output += p;
-    return results;
+  };
+
+  auto attempt = [&] {
+    // Static charges first: this also annotates reductions with the
+    // processor-optimisation decision the lanes consult.  With fusion on
+    // (kernel engines only) they go through the communication-plan cache:
+    // a repeat execution of the same statement signature replays the
+    // recorded recipe at the reduced plan issue overhead.  Member 0 pays
+    // the full front-end issue; riders share it.
+    for (std::size_t k = 0; k < n; ++k) {
+      const ProfScope scope = member_scope(k);
+      if (opts.fuse && opts.engine != ExecEngine::kWalk) {
+        charge_expr_planned(*stmts[k], space, /*rider=*/k != 0);
+      } else {
+        charge_expr(*stmts[k], space.geom_size, /*frontend=*/false, &space);
+      }
+    }
+    if (eng == nullptr) {
+      if (opts.engine != ExecEngine::kWalk) ++walk_fallback_stmts;
+      if (prof != nullptr) prof->note_engine(/*bytecode=*/false);
+      walk_statement();
+      return;
+    }
+    bytecode_stmts += n;
+    {
+      const ProfScope scope = member_scope(0);
+      eng->run(space, active, first_stmt_id, results);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const ProfScope scope = member_scope(k);
+      charge_dynamic_stats(eng->member_stats()[k], space.geom_size);
+      if (prof != nullptr) {
+        prof->note_engine(/*bytecode=*/true);
+        if (n > 1) prof->note_fused();
+      }
+    }
+    // All faultable charges are behind us: apply the buffered writes of
+    // every member in one commit.
+    eng->commit();
   };
 
   // Statement-level transactional retry (docs/ROBUSTNESS.md): every charge
-  // that can raise a TransientFault happens before the commit in both
-  // engines, so catching here leaves all program state exactly as it was at
-  // statement entry — re-running the same stmt_id is bit-identical to a
+  // that can raise a TransientFault happens before the commit on every
+  // engine, so catching here leaves all program state exactly as it was at
+  // entry — re-running the same statement ids is bit-identical to a
   // fault-free execution.  Only active when checkpoint recovery is enabled;
   // otherwise the fault escalates (and aborts the run with a hint).
   for (;;) {
     try {
-      return attempt();
+      attempt();
+      return true;
     } catch (const support::TransientFault&) {
       if (!ckpt->enabled() || !ckpt->consume_replay()) throw;
       machine.note_rollback();
@@ -290,7 +327,7 @@ const std::vector<Impl::FusionSeg>& Impl::fusion_segments(
   std::size_t k = 0;
   while (k < n) {
     if (!ok[k]) {
-      segs.push_back({k, 1, false});
+      segs.push_back({k, 1, {}});
       ++k;
       continue;
     }
@@ -305,70 +342,16 @@ const std::vector<Impl::FusionSeg>& Impl::fusion_segments(
       if (!safe) break;
       ++end;
     }
-    segs.push_back({k, end - k, end - k >= 2});
+    FusionSeg& seg = segs.emplace_back(FusionSeg{k, end - k, {}});
+    if (seg.count >= 2) {
+      for (std::size_t m = k; m < end; ++m) {
+        seg.members.push_back(
+            static_cast<const lang::ExprStmt&>(*s.body[m]).expr.get());
+      }
+    }
     k = end;
   }
   return fusion_segments_[&s] = std::move(segs);
-}
-
-bool Impl::exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
-                            std::size_t count, LaneSpace& space,
-                            const std::vector<std::int64_t>& active,
-                            Frame* frame) {
-  std::vector<const Expr*> stmts(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    stmts[k] =
-        static_cast<const lang::ExprStmt&>(*s.body[begin + k]).expr.get();
-  }
-  auto& eng = kernel_engine();
-  // Compile (cached) + link.  Touches no interpreter state on failure, so
-  // declining here falls back cleanly to statement-at-a-time execution.
-  if (!eng.prepare_group(stmts.data(), count, space, frame)) return false;
-
-  check_deadline(nullptr);
-  // The group is one transactional unit but still `count` statements for
-  // checkpoint pacing and id assignment.
-  for (std::size_t k = 0; k < count; ++k) ckpt->note_statement();
-  maybe_die();  // deterministic pre-group kill point (tools/soak.sh)
-  const std::uint64_t first_stmt_id = stmt_counter + 1;
-  stmt_counter += count;
-
-  auto attempt = [&]() {
-    // Static charges, one per member under its own profiler scope so
-    // per-site cycles keep summing to the aggregate.  Member 0 pays (or
-    // plan-caches) the full front-end issue; riders share it and charge at
-    // the reduced planned overhead from their first execution.
-    for (std::size_t k = 0; k < count; ++k) {
-      ProfScope prof_scope(*this, stmts[k], "stmt", stmts[k]->range);
-      charge_expr_planned(*stmts[k], space, /*rider=*/k != 0);
-    }
-    // One pool dispatch for the whole group; host time lands on member 0.
-    std::vector<AccessStats> member_stats;
-    {
-      ProfScope prof_scope(*this, stmts[0], "stmt", stmts[0]->range);
-      eng.run_group(space, active, first_stmt_id, member_stats);
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-      ProfScope prof_scope(*this, stmts[k], "stmt", stmts[k]->range);
-      charge_dynamic_stats(member_stats[k], space.geom_size);
-      if (prof != nullptr) {
-        prof->note_engine(/*bytecode=*/true);
-        prof->note_fused();
-      }
-    }
-    // All faultable charges are behind us: apply the buffered writes of
-    // every member in one conflict-checked commit.
-    eng.commit_group();
-  };
-  for (;;) {
-    try {
-      attempt();
-      return true;
-    } catch (const support::TransientFault&) {
-      if (!ckpt->enabled() || !ckpt->consume_replay()) throw;
-      machine.note_rollback();
-    }
-  }
 }
 
 void Impl::commit_begin(std::size_t expected_writes) {
@@ -469,9 +452,9 @@ void Impl::exec_parallel_stmt(const Stmt& stmt, LaneSpace& space,
         // statements execute as one kernel; anything the compiler declines
         // falls back to statement-at-a-time execution below.
         for (const FusionSeg& seg : fusion_segments(s)) {
-          if (seg.fusable &&
-              exec_fused_group(s, seg.begin, seg.count, space, active,
-                               frame)) {
+          if (!seg.members.empty() &&
+              exec_group(seg.members.data(), seg.count, space, active, frame,
+                         group_values_)) {
             continue;
           }
           for (std::size_t k = 0; k < seg.count; ++k) {
@@ -628,7 +611,7 @@ void Impl::exec_nested_construct(const UcConstructStmt& stmt,
   // Construct-level recovery anchor (docs/ROBUSTNESS.md).  solve must
   // capture at entry: its rounds carry fired-equation bookkeeping that only
   // an entry snapshot can rewind (and its per-equation commits bypass the
-  // eval_lanes statement-retry net).
+  // exec_group statement-retry net).
   RecoveryScope rscope(*this, &stmt);
   rscope.safe_point(child != nullptr ? child.get() : &parent, frame,
                     /*mandatory=*/stmt.op == UcOp::kSolve && !stmt.starred);

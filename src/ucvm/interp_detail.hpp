@@ -325,18 +325,25 @@ struct Impl {
   struct FusionSeg {
     std::size_t begin = 0;
     std::size_t count = 1;
-    bool fusable = false;  // >= 2 members, all provably independent
+    // The members' expressions when the run fuses (>= 2 members, all
+    // provably independent); empty otherwise.
+    std::vector<const Expr*> members;
   };
   const std::vector<FusionSeg>& fusion_segments(const lang::CompoundStmt& s);
-  // Runs members [begin, begin+count) as one fused kernel: one pool
-  // dispatch, per-member charging under each member's own profiler scope,
-  // and a single merged commit.  Returns false (with no state mutated)
-  // when the group cannot be compiled or linked — the caller then runs the
-  // members unfused.
-  bool exec_fused_group(const lang::CompoundStmt& s, std::size_t begin,
-                        std::size_t count, LaneSpace& space,
-                        const std::vector<std::int64_t>& active,
-                        Frame* frame);
+
+  // The one driver of synchronous statements (paper §3.4: all lanes read,
+  // then the writes commit).  Runs the n >= 1 consecutive statements
+  // `stmts` as one fused group: a single statement is a group of one.
+  // One preamble (deadline, checkpoint pacing, die point, statement ids),
+  // the static charges of every member, one lane execution, each member's
+  // dynamic charges under its own profiler site, and one commit, retried
+  // as a unit on a TransientFault.  `results` receives the last member's
+  // per-lane values.  When the bytecode engine declines, a single
+  // statement runs on the tree walk, and a group returns false having
+  // touched nothing, for the caller to run member by member.
+  bool exec_group(const Expr* const* stmts, std::size_t n, LaneSpace& space,
+                  const std::vector<std::int64_t>& active, Frame* frame,
+                  std::vector<Value>& results);
   std::unique_ptr<LaneSpace> expand(LaneSpace& parent,
                                     const std::vector<std::int64_t>& active,
                                     const std::vector<Symbol*>& sets);
@@ -353,13 +360,11 @@ struct Impl {
   void exec_star_solve(const lang::UcConstructStmt& stmt, LaneSpace& space,
                        Frame* frame, RecoveryScope& rscope);
 
-  // Evaluates an expression for every lane in `active` (on the thread
-  // pool), collecting writes and prints per lane, then commits writes with
-  // single-value conflict checking and flushes prints in lane order.
-  // Returns the per-lane values.
+  // Runs one synchronous statement over the lanes in `active` (exec_group
+  // with n = 1) and returns the per-lane values.
   std::vector<Value> eval_lanes(const Expr& expr, LaneSpace& space,
                                 const std::vector<std::int64_t>& active,
-                                Frame* frame, bool commit = true);
+                                Frame* frame);
 
   void commit_writes(std::vector<std::vector<Write>>& per_lane);
   // Incremental commit used by both engines: commit_begin resets the
@@ -382,6 +387,7 @@ struct Impl {
   cm::PlanCache plan_cache_;
   std::uint64_t plan_epoch_ = 0;
   std::unordered_map<const Stmt*, std::vector<FusionSeg>> fusion_segments_;
+  std::vector<Value> group_values_;  // a fused group's discarded values
   CommitSeen commit_seen_;
   // Commits of at least one buffered write, by path: applied without the
   // conflict table under the kernel engine's proof, or conflict-checked
@@ -391,6 +397,10 @@ struct Impl {
   std::uint64_t commits_checked = 0;
   std::uint64_t writes_proven = 0;
   std::uint64_t writes_checked = 0;
+  // Statement executions on the kernel engine, and those it declined that
+  // ran on the walk instead (zero on the walk engine).
+  std::uint64_t bytecode_stmts = 0;
+  std::uint64_t walk_fallback_stmts = 0;
 
   // --- expression evaluation (per lane) ---
   Value eval(const Expr& e, EvalCtx& ctx);
@@ -496,11 +506,11 @@ struct Impl {
 
 // RAII attribution scope: enters the (lazily interned) site for an AST
 // node on construction, exits on destruction — exception-safe, and a
-// complete no-op when profiling is off.
+// complete no-op when profiling is off or `open` is false.
 class ProfScope {
  public:
   ProfScope(Impl& vm, const void* key, const char* kind,
-            support::SourceRange range);
+            support::SourceRange range, bool open = true);
   ~ProfScope();
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;

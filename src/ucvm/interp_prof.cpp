@@ -30,8 +30,8 @@ prof::SiteId Impl::prof_site(const void* key, const char* kind,
 }
 
 ProfScope::ProfScope(Impl& vm, const void* key, const char* kind,
-                     support::SourceRange range) {
-  if (vm.prof == nullptr) return;
+                     support::SourceRange range, bool open) {
+  if (vm.prof == nullptr || !open) return;
   vm_ = &vm;
   vm.prof->enter(vm.prof_site(key, kind, range), vm.machine.stats(),
                  vm.machine.pool().total_chunks());

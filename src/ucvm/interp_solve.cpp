@@ -16,6 +16,7 @@
 #include "support/str.hpp"
 #include "ucvm/checkpoint.hpp"
 #include "ucvm/interp_detail.hpp"
+#include "ucvm/native/abi.hpp"
 
 namespace uc::vm::detail {
 
@@ -152,8 +153,7 @@ void Impl::exec_solve(const UcConstructStmt& stmt, LaneSpace& space,
               ctx.solve_mode = true;
               ctx.solve_targets = &targets;
               const auto vp = static_cast<std::uint64_t>(space.vps[lt.lane]);
-              ctx.rng.seed(base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^
-                           (vp + 0x5851f42d4c957f2dull));
+              ctx.rng.seed(native::uc_lane_seed(base_seed, stmt_id, vp));
               ctx.rng_seeded = true;
               ctx.undef = false;
               Value v = eval(*assigns[a].assign->rhs, ctx);

@@ -236,9 +236,15 @@ bool Engine::commit_provable(const Kernel& k, const LaneSpace& space) {
   return true;
 }
 
-void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
-                      std::int64_t result_slot, std::uint64_t stmt_id,
-                      Arena& arena, std::vector<Value>& results) {
+// The dispatch loop's speed depends on where its code falls relative to
+// the CPU's 32- and 64-byte fetch blocks.  Under the default 16-byte
+// function alignment, code size changes anywhere in the binary shift it;
+// a 16-byte shift cost fig8 24x24 on the bytecode tier 10-15% of its run
+// time.  Starting it on a cache line keeps its internal layout fixed.
+[[gnu::aligned(64)]] void Engine::run_lane(
+    const Kernel& k, LaneSpace& space, std::int64_t lane,
+    std::int64_t result_slot, std::uint64_t stmt_id, Arena& arena,
+    std::vector<Value>& results) {
   Value* regs = arena.regs.data();
   const native::NElem* elems = elems_.data();
   const native::NScalar* scalars = scalars_.data();
@@ -269,12 +275,12 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
       n_dims > 0 ? &space.coords[static_cast<std::size_t>(lane) * n_dims]
                  : nullptr;
 
-  // Same per-lane RNG stream as the walk's eval_lanes seeding.
+  // Same per-lane RNG stream as the walk's.
   const bool use_fe_rng = space.frontend;
   support::SplitMix64 rng{0};
   if (k.uses_rand && !use_fe_rng) {
-    rng.seed(vm_.base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^
-             (static_cast<std::uint64_t>(lane_vp) + 0x5851f42d4c957f2dull));
+    rng.seed(native::uc_lane_seed(vm_.base_seed, stmt_id,
+                                  static_cast<std::uint64_t>(lane_vp)));
   }
 
   // Fused kernels switch this at kMemberBoundary so each member's
@@ -609,10 +615,8 @@ void Engine::run_lane(const Kernel& k, LaneSpace& space, std::int64_t lane,
         // statement id so rand() draws match the unfused execution.
         stats_cur = arena.stats.data() + I.a;
         if (k.uses_rand && !use_fe_rng) {
-          rng.seed(vm_.base_seed ^
-                   ((stmt_id + I.a) * 0x9e3779b97f4a7c15ull) ^
-                   (static_cast<std::uint64_t>(lane_vp) +
-                    0x5851f42d4c957f2dull));
+          rng.seed(native::uc_lane_seed(vm_.base_seed, stmt_id + I.a,
+                                        static_cast<std::uint64_t>(lane_vp)));
         }
         break;
       case Op::kRet:
@@ -636,12 +640,12 @@ void Engine::run_lanes_pooled(const Kernel& k, LaneSpace& space,
                               const std::vector<std::int64_t>& active,
                               std::uint64_t stmt_id,
                               std::vector<Value>& results) {
-  // Native tier: both the plain try_run path and fused groups funnel
-  // through here, so one hook covers every dispatch.  A false return
-  // (emitter declined, toolchain missing, assumption mismatch, runtime
-  // error flagged) leaves the arenas reset and falls through to bytecode.
-  // The charge step decides the partition optimisation (paper §4), and a
-  // fused group pays its charges after link: read the decision here.
+  // Native tier: every statement funnels through here, so one hook covers
+  // every dispatch.  A false return (emitter declined, toolchain missing,
+  // assumption mismatch, runtime error flagged) leaves the arenas reset
+  // and falls through to bytecode.
+  // The charge step decides the partition optimisation (paper §4), and the
+  // driver pays a statement's charges after link: read the decision here.
   for (std::size_t i = 0; i < reduces_.size(); ++i) {
     reduces_[i].suppress = k.reduces[i].expr->partition_optimized == 1;
   }
@@ -724,7 +728,7 @@ void Engine::apply(const WriteRec* first, const WriteRec* last) {
   }
 }
 
-void Engine::commit_buffered() {
+void Engine::commit() {
   std::size_t total_writes = 0;
   for (const auto& a : arenas_) total_writes += a.writes.size();
   if (total_writes == 0) return;
@@ -769,64 +773,29 @@ void Engine::commit_buffered() {
   }
 }
 
-std::optional<std::vector<Value>> Engine::try_run(
-    const Expr& expr, LaneSpace& space,
-    const std::vector<std::int64_t>& active, Frame* frame,
-    std::uint64_t stmt_id, bool commit, bool optimize) {
+bool Engine::prepare(const Expr* const* stmts, std::size_t n,
+                     LaneSpace& space, Frame* frame) {
   const Kernel* kern =
-      optimize ? kernels_.optimized(expr) : kernels_.plain(expr);
-  if (kern == nullptr) {
-    ++fallback_statements_;
-    return std::nullopt;
-  }
-  if (!link(*kern, space, frame)) {
-    ++fallback_statements_;
-    return std::nullopt;
-  }
-  ++compiled_statements_;
-
-  std::vector<Value> results(active.size());
-  reset_arenas(*kern);
-  run_lanes_pooled(*kern, space, active, stmt_id, results);
-
-  AccessStats total;
-  for (const auto& a : arenas_) total.merge(a.stats[0]);
-  vm_.charge_dynamic_stats(total, space.geom_size);
-
-  if (commit) commit_buffered();
-  return results;
-}
-
-bool Engine::prepare_group(const Expr* const* stmts, std::size_t n,
-                           LaneSpace& space, Frame* frame) {
-  if (n < 2) return false;
-  const Kernel* kern = kernels_.fused(stmts, n);
+      vm_.opts.fuse ? kernels_.fused(stmts, n) : kernels_.plain(*stmts[0]);
   if (kern == nullptr || kern->num_members != n) return false;
-  // Aliased members would miss each other's writes: run them unfused.
-  if (!link(*kern, space, frame) || storage_aliased_) return false;
-  group_kernel_ = kern;
-  return true;
+  // Aliased group members would miss each other's writes: run them one by
+  // one.  A single statement stays: its commit simply goes unproven.
+  return link(*kern, space, frame) && (n == 1 || !storage_aliased_);
 }
 
-void Engine::run_group(LaneSpace& space,
-                       const std::vector<std::int64_t>& active,
-                       std::uint64_t first_stmt_id,
-                       std::vector<AccessStats>& member_stats) {
-  const Kernel& kern = *group_kernel_;
-  compiled_statements_ += kern.num_members;
-  ++fused_groups_;
-  std::vector<Value> results(active.size());
-  reset_arenas(kern);
-  run_lanes_pooled(kern, space, active, first_stmt_id, results);
-  member_stats.assign(kern.num_members, AccessStats{});
+void Engine::run(LaneSpace& space, const std::vector<std::int64_t>& active,
+                 std::uint64_t first_stmt_id, std::vector<Value>& results) {
+  const Kernel& k = *linked_;
+  results.resize(active.size());
+  reset_arenas(k);
+  run_lanes_pooled(k, space, active, first_stmt_id, results);
+  member_stats_.assign(k.num_members, AccessStats{});
   for (const auto& a : arenas_) {
-    for (std::uint32_t m = 0; m < kern.num_members; ++m) {
-      member_stats[m].merge(a.stats[m]);
+    for (std::uint32_t m = 0; m < k.num_members; ++m) {
+      member_stats_[m].merge(a.stats[m]);
     }
   }
 }
-
-void Engine::commit_group() { commit_buffered(); }
 
 }  // namespace uc::vm::detail::kernel
 

@@ -1,15 +1,17 @@
-// The lane-kernel engine: compile-once-per-statement bytecode execution
-// for eval_lanes (docs/VM.md).  One Engine lives inside each vm Impl and
+// The lane-kernel engine: compile-once bytecode execution of synchronous
+// statements (docs/VM.md).  A single statement is a fused group of one, so
+// one protocol serves both: Impl::exec_group prepares, runs and commits
+// n >= 1 statements through it.  One Engine lives inside each vm Impl and
 // holds only per-run state: the per-execution link tables (the lane ABI's
 // records, native/abi.hpp, which bytecode and native lanes both read), the
-// per-worker arenas that make steady-state lane execution allocation-free,
-// and the run's counters.  Compiled kernels and loaded native entry points come
-// from the run's vm::KernelCache, which may outlive the run.
+// per-worker arenas and member buffers that make steady-state execution
+// allocation-free, and the run's native counters.  Compiled kernels and
+// loaded native entry points come from the run's vm::KernelCache, which
+// may outlive the run.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ucvm/interp_detail.hpp"
@@ -23,44 +25,31 @@ class Engine {
  public:
   Engine(Impl& vm, KernelCache& kernels);
 
-  // Runs one synchronous statement expression over the active lanes on the
-  // bytecode engine: merges comm stats, charges dynamic communication,
-  // commits writes with the same lane-order conflict checking as the walk,
-  // and returns the per-lane values.  Returns nullopt when the expression
-  // cannot be compiled or linked against the current space — the caller
-  // then falls back to the tree walk (which reproduces any error the link
-  // step declined to raise, e.g. an array used before its declaration).
-  // With optimize set the statement compiles through the fusion pipeline
-  // (CSE + dead-temporary elimination, separate cache); outputs are
-  // identical, dynamic comm stats can only shrink.
-  std::optional<std::vector<Value>> try_run(
-      const Expr& expr, LaneSpace& space,
-      const std::vector<std::int64_t>& active, Frame* frame,
-      std::uint64_t stmt_id, bool commit, bool optimize = false);
-
-  // --- fused statement groups (docs/VM.md "Fusion") ---
-  // Three-phase protocol so the driver can interleave its per-member cost
-  // charging (which may throw a TransientFault) with execution while the
-  // whole group stays one transactional unit:
-  //   1. prepare_group: compile (cached) + link.  No state is touched on
-  //      failure — the caller falls back to running the members unfused.
-  //   2. run_group: execute the lanes, buffering writes in the arenas and
-  //      collecting per-member comm stats; charges nothing itself.
-  //   3. commit_group: conflict-check and apply the buffered writes in
-  //      lane order, exactly like an unfused statement's commit.
+  // Three-phase protocol for n >= 1 consecutive statements, so the driver
+  // can interleave its per-member cost charging (which may throw a
+  // TransientFault) with execution while the group stays one
+  // transactional unit:
+  //   1. prepare: compile through the cache (the fusion pipeline with
+  //      fusion on, plain bytecode with it off) and link.  Touches no
+  //      interpreter state when it declines: a single statement then runs
+  //      on the tree walk, a group member by member.
+  //   2. run: execute the lanes, buffering writes in the arenas, filling
+  //      `results` (the last member's per-lane values) and member_stats();
+  //      charges nothing itself.
+  //   3. commit: apply the buffered writes, straight into the resolved
+  //      fields when the commit is proven (docs/VM.md "Commit"), else
+  //      conflict-checked in lane order first, exactly like the walk.
   // The buffered records name their targets through the link state, so
   // nothing may link another kernel between steps 1 and 3.
-  bool prepare_group(const Expr* const* stmts, std::size_t n,
-                     LaneSpace& space, Frame* frame);
-  void run_group(LaneSpace& space, const std::vector<std::int64_t>& active,
-                 std::uint64_t first_stmt_id,
-                 std::vector<AccessStats>& member_stats);
-  void commit_group();
-
-  // Introspection for RunResult, tests and ucc bench.
-  std::uint64_t compiled_statements() const { return compiled_statements_; }
-  std::uint64_t fallback_statements() const { return fallback_statements_; }
-  std::uint64_t fused_groups() const { return fused_groups_; }
+  bool prepare(const Expr* const* stmts, std::size_t n, LaneSpace& space,
+               Frame* frame);
+  void run(LaneSpace& space, const std::vector<std::int64_t>& active,
+           std::uint64_t first_stmt_id, std::vector<Value>& results);
+  // Per member of the last run: its communication, charged by the driver.
+  const std::vector<AccessStats>& member_stats() const {
+    return member_stats_;
+  }
+  void commit();
 
   // Native tier (engine == kNative), this run only: kernels compiled or
   // loaded from disk (0 for entries an earlier run of the same cache
@@ -173,9 +162,6 @@ class Engine {
   bool run_lanes_native(const Kernel& k, LaneSpace& space,
                         const std::vector<std::int64_t>& active,
                         std::uint64_t stmt_id, std::vector<Value>& results);
-  // Applies the arenas' records: straight into the resolved fields when
-  // the commit is proven, else conflict-checked in lane order first.
-  void commit_buffered();
   // The Write a record stands for, through the link state of the kernel
   // that buffered it.
   Write decode(const WriteRec& r) const;
@@ -186,12 +172,11 @@ class Engine {
 
   Impl& vm_;
   KernelCache& kernels_;
-  const Kernel* group_kernel_ = nullptr;  // linked by prepare_group
-  // Link state, valid for the duration of one try_run call: the kernel and
-  // frame it was linked against, and its resolved operands.  The operand
-  // tables are the lane ABI's (native/abi.hpp): bytecode lanes read them
-  // and native kernels receive them as they are.  Members, not locals, so
-  // their heap capacity is reused across statements.
+  // Link state, valid from prepare to commit: the kernel and frame it was
+  // linked against, and its resolved operands.  The operand tables are the
+  // lane ABI's (native/abi.hpp): bytecode lanes read them and native
+  // kernels receive them as they are.  Members, not locals, so their heap
+  // capacity is reused across statements.
   const Kernel* linked_ = nullptr;
   Frame* linked_frame_ = nullptr;
   std::vector<native::NElem> elems_;
@@ -206,16 +191,14 @@ class Engine {
   std::vector<LaneSpace*> depth_spaces_;
   std::int32_t max_depth_ = 0;
   // The linked kernel's buffered writes provably never share a target, so
-  // commit_buffered() may apply them without the conflict table.
+  // commit() may apply them without the conflict table.
   bool commit_proven_ = false;
   bool storage_aliased_ = false;  // two array symbols share storage
   std::vector<const Symbol*> chain_elems_;  // reused by commit_provable
-  std::vector<ArraySink> sinks_;  // per linked array, set by commit_buffered
+  std::vector<ArraySink> sinks_;  // per linked array, set by commit
   std::vector<Arena> arenas_;
   std::vector<std::pair<const ChunkSpan*, Arena*>> span_order_;
-  std::uint64_t compiled_statements_ = 0;
-  std::uint64_t fallback_statements_ = 0;
-  std::uint64_t fused_groups_ = 0;
+  std::vector<AccessStats> member_stats_;  // filled by run
   // The cache's backend for this run's (cache dir, compiler), resolved at
   // the first native dispatch attempt.
   native::Backend* native_ = nullptr;

@@ -15,21 +15,12 @@ const Kernel* KernelCache::plain(const lang::Expr& expr) {
   return it->second.get();
 }
 
-const Kernel* KernelCache::optimized(const lang::Expr& expr) {
-  auto it = optimized_.find(&expr);
-  if (it == optimized_.end()) {
-    const lang::Expr* one[1] = {&expr};
-    it = optimized_.emplace(&expr, detail::kernel::compile_fused(one, 1))
-             .first;
-  }
-  return it->second.get();
-}
-
 const Kernel* KernelCache::fused(const lang::Expr* const* stmts,
                                  std::size_t n) {
-  auto it = fused_.find(stmts[0]);
+  auto it = fused_.find({stmts[0], n});
   if (it == fused_.end()) {
-    it = fused_.emplace(stmts[0], detail::kernel::compile_fused(stmts, n))
+    it = fused_.emplace(GroupKey{stmts[0], n},
+                        detail::kernel::compile_fused(stmts, n))
              .first;
   }
   return it->second.get();

@@ -166,6 +166,14 @@ inline i64 uc_mul(i64 a, i64 b) { return (i64)((u64)a * (u64)b); }
 inline i64 uc_neg(i64 a) { return (i64)(0ull - (u64)a); }
 inline i64 uc_shl(i64 a, i64 b) { return (i64)((u64)a << (b & 63)); }
 
+// Seed of a lane's rand() stream: the run's base seed, the statement
+// instance and the lane's VP, so the draws depend on neither the host
+// thread count nor fusion (each fused member reseeds with its own id).
+inline u64 uc_lane_seed(u64 base_seed, u64 stmt_id, u64 vp) {
+  return base_seed ^ (stmt_id * 0x9e3779b97f4a7c15ull) ^
+         (vp + 0x5851f42d4c957f2dull);
+}
+
 // One step of the per-lane SplitMix64 stream (support::SplitMix64).
 inline u64 uc_sm64(u64& s) {
   u64 z = (s += 0x9e3779b97f4a7c15ull);

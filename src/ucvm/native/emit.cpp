@@ -390,9 +390,8 @@ class Emitter {
         "    NStats* st = stats0;\n";
     if (k_.uses_rand) {
       src_ +=
-          "    u64 rng = A->base_seed ^ (A->stmt_id * "
-          "0x9e3779b97f4a7c15ull) ^ ((u64)lane_vp + "
-          "0x5851f42d4c957f2dull);\n";
+          "    u64 rng = uc_lane_seed(A->base_seed, A->stmt_id, "
+          "(u64)lane_vp);\n";
     }
     if (!k_.reduces.empty()) {
       src_ +=
@@ -669,9 +668,8 @@ class Emitter {
         appendf(src_, "      st = stats0 + %u;\n", I.a);
         if (k_.uses_rand) {
           appendf(src_,
-                  "      rng = A->base_seed ^ ((A->stmt_id + %uull) * "
-                  "0x9e3779b97f4a7c15ull) ^ ((u64)lane_vp + "
-                  "0x5851f42d4c957f2dull);\n",
+                  "      rng = uc_lane_seed(A->base_seed, A->stmt_id + %uull, "
+                  "(u64)lane_vp);\n",
                   I.a);
         }
         break;

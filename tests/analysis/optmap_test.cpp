@@ -38,7 +38,7 @@ Modeled model_of(const std::string& source) {
 }
 
 const uc::analysis::ArrayDep* dep_of(const DependSummary& dep,
-                                     const Modeled& m, const char* name) {
+                                     const char* name) {
   for (const auto& [sym, d] : dep.arrays) {
     if (sym->name == name) return &d;
   }
@@ -68,7 +68,7 @@ TEST(Depend, ReversalPermuteIsBijectiveAndLegal) {
     }
   )");
   auto dep = uc::analysis::summarize_dependences(m.model);
-  const auto* d = dep_of(dep, m, "a");
+  const auto* d = dep_of(dep, "a");
   ASSERT_NE(d, nullptr);
   Legality r = uc::analysis::prove_permute(*d, 8, -1, 7);
   EXPECT_TRUE(r.legal);
@@ -88,7 +88,7 @@ TEST(Depend, ShiftPermuteWithFullRangeWriteIsRejectedFailClosed) {
     }
   )");
   auto dep = uc::analysis::summarize_dependences(m.model);
-  const auto* d = dep_of(dep, m, "a");
+  const auto* d = dep_of(dep, "a");
   ASSERT_NE(d, nullptr);
   Legality r = uc::analysis::prove_permute(*d, 8, 1, -1);
   EXPECT_FALSE(r.legal);
@@ -109,7 +109,7 @@ TEST(Depend, ShiftPermuteWithoutCoWritesIsLegal) {
     }
   )");
   auto dep = uc::analysis::summarize_dependences(m.model);
-  const auto* d = dep_of(dep, m, "a");
+  const auto* d = dep_of(dep, "a");
   ASSERT_NE(d, nullptr);
   Legality r = uc::analysis::prove_permute(*d, 8, 1, -1);
   EXPECT_TRUE(r.legal) << r.blocker;
@@ -126,7 +126,7 @@ TEST(Depend, FoldLegalWhenAccessesStayInOneHalf) {
     }
   )");
   auto dep = uc::analysis::summarize_dependences(m.model);
-  const auto* d = dep_of(dep, m, "a");
+  const auto* d = dep_of(dep, "a");
   ASSERT_NE(d, nullptr);
   Legality r = uc::analysis::prove_fold(*d, 8);
   EXPECT_TRUE(r.legal) << r.blocker;
@@ -142,7 +142,7 @@ TEST(Depend, FoldRejectedWhenParallelStepWritesBothHalves) {
     }
   )");
   auto dep = uc::analysis::summarize_dependences(m.model);
-  const auto* d = dep_of(dep, m, "a");
+  const auto* d = dep_of(dep, "a");
   ASSERT_NE(d, nullptr);
   Legality r = uc::analysis::prove_fold(*d, 8);
   EXPECT_FALSE(r.legal);
@@ -161,7 +161,7 @@ TEST(Depend, FoldRejectedWhenAccessCrossesTheFold) {
     }
   )");
   auto dep = uc::analysis::summarize_dependences(m.model);
-  const auto* d = dep_of(dep, m, "a");
+  const auto* d = dep_of(dep, "a");
   ASSERT_NE(d, nullptr);
   Legality r = uc::analysis::prove_fold(*d, 8);
   EXPECT_FALSE(r.legal);
@@ -179,7 +179,7 @@ TEST(Depend, CopyRejectedOnDataDependentWrite) {
     }
   )");
   auto dep = uc::analysis::summarize_dependences(m.model);
-  const auto* d = dep_of(dep, m, "a");
+  const auto* d = dep_of(dep, "a");
   ASSERT_NE(d, nullptr);
   Legality r = uc::analysis::prove_copy(*d);
   EXPECT_FALSE(r.legal);
@@ -197,7 +197,7 @@ TEST(Depend, CopyLegalWithAffineWrites) {
     }
   )");
   auto dep = uc::analysis::summarize_dependences(m.model);
-  const auto* d = dep_of(dep, m, "a");
+  const auto* d = dep_of(dep, "a");
   ASSERT_NE(d, nullptr);
   EXPECT_TRUE(uc::analysis::prove_copy(*d).legal);
 }

@@ -8,8 +8,10 @@
 //                     every cost-model counter, and named global arrays
 //                     must match the walk exactly
 //   bytecode-fused  — fusion, CSE, and plan caching on (the default);
-//                     output and globals must still be bit-identical, and
-//                     modeled cycles must never exceed the unfused run
+//                     output and globals must still be bit-identical,
+//                     every instruction count must equal the unfused
+//                     run's, and cycles, router messages and front-end
+//                     operations must never exceed it
 //   native          — fused programs dispatched through emitted-and-
 //                     dlopened C++ kernels (docs/VM.md "Native tier");
 //                     output, globals, AND modeled cycles must be
@@ -55,6 +57,23 @@ void expect_stats_equal(const cm::CostStats& w, const cm::CostStats& b) {
   EXPECT_EQ(w.frontend_ops, b.frontend_ops);
 }
 
+// Fusion shares front-end issues, forwards stored values and replays
+// cached plans, so it may lower cycles, router messages and front-end
+// operations.  It never changes which machine instructions a statement
+// issues: every instruction count must equal the unfused run's.
+void expect_fused_stats_bounded(const cm::CostStats& plain,
+                                const cm::CostStats& fused) {
+  EXPECT_EQ(plain.vector_ops, fused.vector_ops);
+  EXPECT_EQ(plain.news_ops, fused.news_ops);
+  EXPECT_EQ(plain.router_ops, fused.router_ops);
+  EXPECT_EQ(plain.reductions, fused.reductions);
+  EXPECT_EQ(plain.global_ors, fused.global_ors);
+  EXPECT_EQ(plain.broadcasts, fused.broadcasts);
+  EXPECT_LE(fused.cycles, plain.cycles);
+  EXPECT_LE(fused.router_messages, plain.router_messages);
+  EXPECT_LE(fused.frontend_ops, plain.frontend_ops);
+}
+
 void expect_globals_equal(const RunResult& a, const RunResult& b,
                           const std::vector<std::string>& globals,
                           const char* label) {
@@ -79,7 +98,7 @@ void expect_parity(const std::string& src,
   RunResult fused = run_with(src, ExecEngine::kBytecode, /*fuse=*/true);
   EXPECT_EQ(walk.output(), fused.output());
   expect_globals_equal(walk, fused, globals, "walk/fused");
-  EXPECT_LE(fused.stats().cycles, byte.stats().cycles);
+  expect_fused_stats_bounded(byte.stats(), fused.stats());
 
   // The native tier replaces the interpreter only; everything the cost
   // model observes is identical, so cycles must equal the fused run's

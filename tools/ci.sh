@@ -2,7 +2,8 @@
 # Tier-1 verification, plain and under ASan/UBSan/TSan.
 #
 #   tools/ci.sh          all configurations + Release bench smoke
-#   tools/ci.sh plain    plain RelWithDebInfo build + ctest only
+#   tools/ci.sh plain    plain RelWithDebInfo build (warnings are errors)
+#                        + ctest and the smokes
 #   tools/ci.sh asan     ASan/UBSan build + ctest only
 #   tools/ci.sh tsan     ThreadSanitizer build + concurrency suites
 #   tools/ci.sh bench    Release build + tools/bench.sh --smoke only
@@ -17,6 +18,10 @@ set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 mode="${1:-all}"
+# The plain lane builds warning-free under -Wall -Wextra: any new warning
+# fails it.  -Wrestrict stays a warning: GCC 12 reports false positives
+# inside libstdc++'s char_traits.h.
+werror="-Werror -Wno-error=restrict"
 
 run_suite() {
   local dir="$1"; shift
@@ -269,7 +274,7 @@ PYEOF
 
 case "$mode" in
   plain)
-    run_suite "$root/build"
+    run_suite "$root/build" -DCMAKE_CXX_FLAGS="$werror"
     run_profile_smoke "$root/build"
     run_fused_smoke "$root/build"
     run_fault_smoke "$root/build"
@@ -282,7 +287,7 @@ case "$mode" in
   bench) run_bench_smoke ;;
   native) run_native_gate ;;
   all)
-    run_suite "$root/build"
+    run_suite "$root/build" -DCMAKE_CXX_FLAGS="$werror"
     run_profile_smoke "$root/build"
     run_fused_smoke "$root/build"
     run_fault_smoke "$root/build"

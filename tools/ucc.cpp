@@ -507,7 +507,7 @@ int main(int argc, char** argv) {
         bool fuse;
         double ms = 0.0;
         std::uint64_t cycles = 0;
-        std::string output;
+        std::string output{};
         bool skipped = false;  // native: toolchain unavailable
       };
       Row rows[4] = {
